@@ -421,41 +421,40 @@ let run_population ~huge =
         promoted_words_per_run = 0.0 })
     (population_rows ~huge)
 
-(* -- service throughput benches (plain timed, medians of alternating runs) --
+(* -- service throughput benches (plain timed, median of runs) --
 
-   The multiplexed secure-channel service (Secure_channel.Mux) driven at
-   growing logical-channel counts under a null and a jamming adversary,
-   once with the batched crypto entry points and once with the naive
-   per-message API.  Each (channels, adversary) cell runs the two crypto
-   modes [service_runs] times in strict alternation (B,P,B,P,...) so slow
-   drift in machine load cancels out of the A/B comparison; the reported
-   figure is the median.  ns_per_run is wall-clock per *delivered message*,
-   so `ops_per_sec` in the radio-bench document reads as messages/sec.
+   The multiplexed secure-channel service (Secure_channel.Mux, Acked
+   transport) driven at growing logical-channel counts under a null and a
+   jamming adversary.  Each (channels, adversary) cell runs [service_runs]
+   times and reports the median.  ns_per_run is wall-clock per *delivered
+   message*, so `ops_per_sec` in the radio-bench document reads as
+   messages/sec.
 
-   The two modes must also be bit-for-bit equivalent: every run's
-   {!Mux.render_stats} digest is asserted identical across all runs of the
-   cell, and the shared digest plus the engine round count become a
-   `service/c{M}-{adv}` determinism row that bench_compare gates on.  The
-   p99 emulated-round delivery latency rides along as its own micro row
-   (units are emulated rounds, not nanoseconds; reported, never gated). *)
+   Every run's {!Mux.render_stats} digest is asserted identical across the
+   runs of the cell, and the shared digest plus the engine round count
+   become a `service/c{M}-{adv}-piggyback` determinism row that
+   bench_compare gates on.  The p99 emulated-round delivery latency rides
+   along as its own micro row (units are emulated rounds, not nanoseconds;
+   reported, never gated).  Row names keep their `-piggyback` suffix so
+   history trends stay continuous. *)
 
 module Mux = Secure_channel.Mux
 
 let service_runs = 3
 
 (* Enough emulated rounds that one-off edges — queue ramp-up at the start,
-   the piggybacked mode's single flush round at the end — amortize into the
-   steady state being measured: at 6 rounds the flush round alone inflated
-   the piggybacked side's per-message cost by a sixth. *)
+   the single flush round at the end — amortize into the steady state being
+   measured: at 6 rounds the flush round alone inflated the per-message
+   cost by a sixth. *)
 let service_emulated_rounds = 24
 
-let service_spec ?(ack_mode = Mux.Slotted) ~channels ~crypto () =
+let service_spec ~channels =
   Mux.make ~key:"bench-service-group-key" ~logical:channels ~phys:16 ~budget:4
-    ~ack_mode ~crypto ~rounds:service_emulated_rounds ~rate:1 ~queue_cap:8 ~window:32
-    ~epoch_len:2 ~grace:1 ~payload:16 ~seed:42L ()
+    ~rounds:service_emulated_rounds ~rate:1 ~queue_cap:8 ~window:32 ~epoch_len:2 ~grace:1
+    ~payload:16 ~seed:42L ()
 
 (* Fresh adversary per run: random_jammer holds mutable PRNG state, and
-   reusing one across runs would break the A/B byte-identity assertion. *)
+   reusing one across runs would break the byte-identity assertion. *)
 let service_adversaries =
   [ ("null", fun () -> Radio.Adversary.null);
     ("jam", fun () -> Experiments.Common.random_jam ~seed:77L ~channels:16 ~budget:4) ]
@@ -463,126 +462,54 @@ let service_adversaries =
 type service_det = { service_id : string; service_rounds : int; service_sha : string }
 
 let run_service ~jobs ~channels_list =
-  print_endline "\n== Service throughput (plain timed, median of alternating A/B runs) ==\n";
-  Printf.printf "  %-22s %8s %10s %10s %8s %10s %8s %6s\n" "cell" "msgs" "batched s"
-    "permsg s" "speedup" "pig s" "pig-x" "p99";
+  print_endline "\n== Service throughput (plain timed, median of runs) ==\n";
+  Printf.printf "  %-22s %8s %10s %12s %6s\n" "cell" "msgs" "median s" "msgs/sec" "p99";
   Parallel.Pool.with_pool ~domains:jobs (fun pool ->
       List.concat_map
         (fun channels ->
-          (* Piggybacked acks need an even duplex-paired channel count. *)
-          let pig_ok = channels land 1 = 0 in
-          List.concat_map
+          let spec = service_spec ~channels in
+          List.map
             (fun (adv_name, mk_adv) ->
-              let one ?ack_mode crypto =
-                let spec = service_spec ?ack_mode ~channels ~crypto () in
-                Parallel.Clock.time (fun () -> Mux.run ~pool spec ~adversary:(mk_adv ()))
-              in
-              (* Strict alternation B,P,G,B,P,G,... so machine-load drift
-                 cancels out of every pairwise comparison. *)
+              let cell = Printf.sprintf "c%d-%s" channels adv_name in
               let runs =
                 List.init service_runs (fun _ ->
-                    ( one Mux.Batched,
-                      one Mux.Per_message,
-                      if pig_ok then Some (one ~ack_mode:Mux.Piggybacked Mux.Batched)
-                      else None ))
+                    Parallel.Clock.time (fun () -> Mux.run ~pool spec ~adversary:(mk_adv ())))
               in
-              let sample = match List.hd runs with b, _, _ -> fst b in
+              let sample = fst (List.hd runs) in
               let sha = Mux.output_digest sample in
-              let pig_sample =
-                match List.hd runs with _, _, Some g -> Some (fst g) | _, _, None -> None
-              in
-              let pig_sha = Option.map Mux.output_digest pig_sample in
               List.iteri
-                (fun i (b, p, g) ->
-                  let checks =
-                    [ ("batched", fst b, sha); ("per-message", fst p, sha) ]
-                    @
-                    match (g, pig_sha) with
-                    | Some (r, _), Some psha -> [ ("piggybacked", r, psha) ]
-                    | _ -> []
-                  in
-                  List.iter
-                    (fun (mode, (r : Mux.result), expect) ->
-                      if Mux.output_digest r <> expect then (
-                        Printf.eprintf
-                          "service/c%d-%s: %s run %d diverged from run 0 (runs are not \
-                           byte-identical)\n"
-                          channels adv_name mode i;
-                        exit 1))
-                    checks)
+                (fun i (r, _) ->
+                  if Mux.output_digest r <> sha then (
+                    Printf.eprintf
+                      "service/%s: run %d diverged from run 0 (runs are not byte-identical)\n"
+                      cell i;
+                    exit 1))
                 runs;
               let msgs = sample.Mux.stats.Mux.delivered in
-              let med_b = median (List.map (fun ((_, s), _, _) -> s) runs) in
-              let med_p = median (List.map (fun (_, (_, s), _) -> s) runs) in
-              let pig =
-                match pig_sample with
-                | None -> None
-                | Some ps ->
-                  let med_g =
-                    median
-                      (List.filter_map (fun (_, _, g) -> Option.map snd g) runs)
-                  in
-                  Some (ps, med_g)
-              in
+              let med = median (List.map snd runs) in
               let p99 = Mux.latency_percentile sample 0.99 in
-              let mps msgs wall = float_of_int msgs /. wall in
-              (match pig with
-              | Some (ps, med_g) ->
-                (* Throughput ratio, not raw wall-clock: the two ack modes
-                   deliver (slightly) different message counts under load. *)
-                let pig_x =
-                  mps ps.Mux.stats.Mux.delivered med_g /. mps msgs med_b
-                in
-                Printf.printf "  %-22s %8d %10.3f %10.3f %7.2fx %10.3f %7.2fx %6d\n%!"
-                  (Printf.sprintf "c%d-%s" channels adv_name)
-                  msgs med_b med_p (med_p /. med_b) med_g pig_x p99
-              | None ->
-                Printf.printf "  %-22s %8d %10.3f %10.3f %7.2fx %10s %8s %6d\n%!"
-                  (Printf.sprintf "c%d-%s" channels adv_name)
-                  msgs med_b med_p (med_p /. med_b) "-" "-" p99);
-              let per_msg_ns msgs wall =
-                if msgs > 0 then wall *. 1e9 /. float_of_int msgs else nan
-              in
+              Printf.printf "  %-22s %8d %10.3f %12.0f %6d\n%!" cell msgs med
+                (float_of_int msgs /. med) p99;
               let row name ns =
                 { bench_name = name; ns_per_run = ns; minor_words_per_run = 0.0;
                   major_words_per_run = 0.0; promoted_words_per_run = 0.0 }
               in
               let micro =
-                [ row
-                    (Printf.sprintf "service/msgs-per-sec-c%d-%s-batched" channels adv_name)
-                    (per_msg_ns msgs med_b);
+                [ row (Printf.sprintf "service/p99-latency-rounds-%s" cell) (float_of_int p99);
                   row
-                    (Printf.sprintf "service/msgs-per-sec-c%d-%s-permsg" channels adv_name)
-                    (per_msg_ns msgs med_p);
-                  row
-                    (Printf.sprintf "service/p99-latency-rounds-c%d-%s" channels adv_name)
-                    (float_of_int p99) ]
-                @
-                match pig with
-                | Some (ps, med_g) ->
-                  [ row
-                      (Printf.sprintf "service/msgs-per-sec-c%d-%s-piggyback" channels
-                         adv_name)
-                      (per_msg_ns ps.Mux.stats.Mux.delivered med_g) ]
-                | None -> []
+                    (Printf.sprintf "service/msgs-per-sec-%s-piggyback" cell)
+                    (if msgs > 0 then med *. 1e9 /. float_of_int msgs else nan) ]
               in
               let det =
-                { service_id = Printf.sprintf "service/c%d-%s" channels adv_name;
+                { service_id = Printf.sprintf "service/%s-piggyback" cell;
                   service_rounds = sample.Mux.engine.Radio.Engine.rounds_used;
                   service_sha = sha }
-                ::
-                (match (pig_sample, pig_sha) with
-                | Some ps, Some psha ->
-                  [ { service_id = Printf.sprintf "service/c%d-%s-piggyback" channels adv_name;
-                      service_rounds = ps.Mux.engine.Radio.Engine.rounds_used;
-                      service_sha = psha } ]
-                | _ -> [])
               in
-              [ (micro, det) ])
+              (micro, det))
             service_adversaries)
         channels_list)
   |> List.split
-  |> fun (micro, det) -> (List.concat micro, List.concat det)
+  |> fun (micro, det) -> (List.concat micro, det)
 
 let render_outcome (o : Experiments.Runner.outcome) =
   Format.printf "@.### %s: %s@." o.experiment.Experiments.Registry.id
@@ -714,7 +641,7 @@ type cli = {
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [quick] [micro] [service [--service-channels N,N,...]] \
+    "usage: main.exe [quick] [micro] [service [--service-channels N,N,... (even)]] \
      [population [--huge]] [ID...] [--jobs N] [--jobs-sweep N,N,...] [--json PATH] \
      [--bench-json PATH]\n\
      available: %s, micro, service, population\n"
@@ -734,7 +661,11 @@ let parse_service_channels spec =
   let parts = String.split_on_char ',' spec in
   let channels =
     List.filter_map
-      (fun s -> match int_of_string_opt (String.trim s) with Some c when c >= 1 -> Some c | _ -> None)
+      (fun s ->
+        (* The Acked transport pairs channels as duplex streams. *)
+        match int_of_string_opt (String.trim s) with
+        | Some c when c >= 2 && c land 1 = 0 -> Some c
+        | _ -> None)
       parts
   in
   if List.length channels <> List.length parts || channels = [] then usage () else channels

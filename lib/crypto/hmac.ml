@@ -35,10 +35,10 @@ let mac_feed { inner; outer } feed =
 
 let mac_keyed k msg = mac_feed k (fun ctx -> Sha256.update ctx msg)
 
-(* Reusable working state for batch MACs: one inner and one outer context
-   plus a buffer for the inner digest, overwritten per frame via
-   [Sha256.copy_into] so a whole epoch's worth of MACs performs zero
-   per-frame context or digest allocations. *)
+(* Reusable working state for batch MACs ({!Cipher}, {!Prf}): one inner
+   and one outer context plus a buffer for the inner digest, overwritten
+   per frame via [Sha256.copy_into] so a whole epoch's worth of MACs
+   performs zero per-frame context or digest allocations. *)
 type scratch = {
   s_inner : Sha256.ctx;
   s_outer : Sha256.ctx;
@@ -56,15 +56,6 @@ let mac_feed_into { inner; outer } s feed out ~pos =
   Sha256.copy_into outer ~into:s.s_outer;
   Sha256.update_bytes s.s_outer s.s_digest ~pos:0 ~len:Sha256.digest_size;
   Sha256.finalize_into s.s_outer out ~pos
-
-let mac_batch k msgs =
-  let s = scratch () in
-  let out = Bytes.create Sha256.digest_size in
-  Array.map
-    (fun msg ->
-      mac_feed_into k s (fun ctx -> Sha256.update ctx msg) out ~pos:0;
-      Bytes.to_string out)
-    msgs
 
 (* One-shot: feed the pads straight into fresh contexts instead of building
    a handle, skipping the midstate snapshots a throwaway key would pay. *)
@@ -95,16 +86,5 @@ let equal_ct ~expect ~tag =
   !diff = 0
 
 let verify_keyed k ~tag msg = equal_ct ~expect:(mac_keyed k msg) ~tag
-
-let verify_batch k ~tags msgs =
-  let n = Array.length msgs in
-  if Array.length tags <> n then invalid_arg "Hmac.verify_batch: length mismatch";
-  let s = scratch () in
-  let out = Bytes.create Sha256.digest_size in
-  Array.init n (fun i ->
-      mac_feed_into k s (fun ctx -> Sha256.update ctx msgs.(i)) out ~pos:0;
-      (* [out] is only read inside this [equal_ct] call before the next
-         frame overwrites it, so the unsafe view never escapes. *)
-      equal_ct ~expect:(Bytes.unsafe_to_string out) ~tag:tags.(i))
 
 let verify ~key:raw ~tag msg = verify_keyed (key raw) ~tag msg

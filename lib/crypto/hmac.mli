@@ -29,8 +29,9 @@ val mac_feed : key -> (Sha256.ctx -> unit) -> string
     label and counter fields without building the message string. *)
 
 type scratch
-(** Reusable working state (two contexts + inner-digest buffer) for the
-    batch entry points below.  One [scratch] serves any number of
+(** Reusable working state (two contexts + inner-digest buffer) for
+    {!mac_feed_into}, the zero-allocation path behind the batch entry
+    points of {!Cipher} and {!Prf}.  One [scratch] serves any number of
     sequential MACs under any keys; it must not be shared across domains
     or used reentrantly. *)
 
@@ -40,16 +41,6 @@ val mac_feed_into : key -> scratch -> (Sha256.ctx -> unit) -> Bytes.t -> pos:int
 (** [mac_feed_into k s feed out ~pos] is {!mac_feed} writing the 32-byte
     tag at [pos] of [out], with all working state drawn from [s] — zero
     allocations per call.  Byte-identical to [mac_feed k feed]. *)
-
-val mac_batch : key -> string array -> string array
-(** [mac_batch k msgs] tags every message under one key, amortizing the
-    midstate replay buffers across the whole batch.  Element [i] equals
-    [mac_keyed k msgs.(i)]. *)
-
-val verify_batch : key -> tags:string array -> string array -> bool array
-(** [verify_batch k ~tags msgs] checks [tags.(i)] against [msgs.(i)] for
-    each [i] (constant-time per element, as {!verify_keyed}).  Raises
-    [Invalid_argument] on length mismatch. *)
 
 val mac : key:string -> string -> string
 (** [mac ~key msg] is the 32-byte raw HMAC-SHA256 tag. *)

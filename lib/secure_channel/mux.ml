@@ -4,28 +4,26 @@
    protocol intelligence is central: once per emulated round, the first
    fiber resumed runs [prepare], which processes everything heard in the
    previous emulated round, runs the epoch / replay-window / backpressure
-   state machines, and batch-seals and batch-MACs every frame the round
-   will transmit.  Node fibers are thin actors — they read their slot plan
-   from the shared state and move bytes.  Fibers resume strictly
-   sequentially in node-id order within the engine's domain (the
-   determinism contract; harvest sharding only ever reads engine-internal
-   arrays), so the central mutable state needs no synchronization, and the
-   batch crypto amortizes key schedules and scratch buffers across every
-   frame of the round.
+   state machines, and batch-seals every frame the round will transmit.
+   Node fibers are thin actors — they read their slot plan from the shared
+   state and move bytes.  Fibers resume strictly sequentially in node-id
+   order within the engine's domain (the determinism contract; harvest
+   sharding only ever reads engine-internal arrays), so the central mutable
+   state needs no synchronization, and the batch crypto amortizes key
+   schedules and scratch buffers across every frame of the round.
 
-   Emulated-round layout (Acked transport): S data slots, a mid sync
-   round, S ack slots, an end sync round — 2S+2 real rounds,
-   S = ceil(logical / phys).  Logical channel c occupies slot [c mod S] at
-   position [c / S]; a PRF-keyed offset per (emulated round, slot) rotates
-   the whole slot across the physical band, so co-scheduled channels never
-   collide with each other while the adversary cannot predict where any
-   one channel lands.  The central step is split in two: [prepare_data]
-   (round start: process last round's acks, enqueue offered load, seal
-   this round's data frames) and [prepare_acks] (after the mid sync:
-   process this round's received data, MAC this round's acks) — so a
-   message is sent, delivered, and acknowledged within one emulated round.
-   Each sync round guarantees that every listen of the preceding phase has
-   stored its result before the next central step reads it.
+   Emulated-round layout (Acked transport): S data slots and a sync round —
+   S+1 real rounds, S = max(ceil(logical / phys), 2).  Channels pair as
+   duplex streams: node c sends on channel c and listens on channel
+   [c lxor 1], and the cumulative ack for the opposite direction rides
+   inside every sealed data frame (or a bare sealed ack carrier when the
+   queue is empty).  Logical channel c occupies slot [c mod S] at position
+   [c / S]; a PRF-keyed offset per (emulated round, slot) rotates the whole
+   slot across the physical band, so co-scheduled channels never collide
+   with each other while the adversary cannot predict where any one channel
+   lands.  The sync round guarantees that every listen of the round has
+   stored its result before the next [prepare] reads it.  One extra flush
+   emulated round lets the final acks land.
 
    Repeat transport (the E9 broadcast shape): [group] members per logical
    channel; the designated sender repeats the sealed head frame [reps]
@@ -33,7 +31,6 @@
    per emulated round, no acks, the head is retired after its round. *)
 
 module Cipher = Crypto.Cipher
-module Hmac = Crypto.Hmac
 module Prf = Crypto.Prf
 module Sha256 = Crypto.Sha256
 
@@ -86,76 +83,16 @@ let epoch_verdict ~epoch_len ~grace ~now ~frame_epoch =
 let epoch_of ~epoch_len ~now = now / epoch_len
 
 (* ------------------------------------------------------------------ *)
-(* Epoch key derivation and the two crypto back ends.                  *)
+(* Epoch key derivation.                                               *)
 (* ------------------------------------------------------------------ *)
 
-type crypto_mode = Batched | Per_message
-
+(* The raw key of [epoch]: a PRF of the group key and the epoch counter.
+   The test suite checks sealed frames against the one-shot
+   [Prf.bytes ~key ~label:"mux-epoch" ~counter:epoch]. *)
 let epoch_raw group_prf ~epoch =
   Prf.Keyed.bytes group_prf ~label:"mux-epoch" ~counter:epoch
 
-let ack_raw raw = Sha256.digest ("mux-ack|" ^ raw)
-
-(* Batch-shaped crypto interface.  The protocol logic only ever talks to
-   these four entry points, so [Batched] and [Per_message] produce
-   byte-identical frames and decisions by construction — only the work per
-   frame differs. *)
-type ops = {
-  seal_many : epoch:int -> nonces:int64 array -> string array -> Cipher.sealed array;
-  open_many : epoch:int -> Cipher.sealed array -> string option array;
-  mac_many : epoch:int -> string array -> string array;
-  verify_many : epoch:int -> tags:string array -> string array -> bool array;
-}
-
-type epoch_keys = { ek_epoch : int; ck : Cipher.key; ak : Hmac.key }
-
-(* The batched back end: epoch-key handles cached by epoch parity (exactly
-   the current and previous epoch are ever decodable, so two slots never
-   thrash), one cipher scratch for the whole run, and the multi-message
-   batch entry points of {!Cipher} and {!Hmac}. *)
-let batched_ops group_prf =
-  let scratch = Cipher.scratch () in
-  let cache : epoch_keys option array = [| None; None |] in
-  let keys epoch =
-    let slot = epoch land 1 in
-    match cache.(slot) with
-    | Some k when k.ek_epoch = epoch -> k
-    | Some _ | None ->
-      let raw = epoch_raw group_prf ~epoch in
-      let k = { ek_epoch = epoch; ck = Cipher.key raw; ak = Hmac.key (ack_raw raw) } in
-      cache.(slot) <- Some k;
-      k
-  in
-  { seal_many =
-      (fun ~epoch ~nonces msgs -> Cipher.seal_batch (keys epoch).ck scratch ~nonces msgs);
-    open_many = (fun ~epoch frames -> Cipher.open_batch (keys epoch).ck scratch frames);
-    mac_many = (fun ~epoch msgs -> Hmac.mac_batch (keys epoch).ak msgs);
-    verify_many = (fun ~epoch ~tags msgs -> Hmac.verify_batch (keys epoch).ak ~tags msgs) }
-
-(* The per-message back end: the naive path, re-deriving everything a
-   frame needs — the group PRF handle from the raw group key, the epoch
-   key material from it, and the cipher/MAC subkey schedules — for every
-   single frame through the one-shot crypto API, exactly as a caller with
-   no caching layer would.  Byte-identical outputs; this is the baseline
-   side of the throughput bench's A/B. *)
-let per_message_ops key =
-  let raw ~epoch = epoch_raw (Prf.Keyed.create key) ~epoch in
-  { seal_many =
-      (fun ~epoch ~nonces msgs ->
-        Array.init (Array.length msgs) (fun i ->
-            Cipher.seal ~key:(raw ~epoch) ~nonce:nonces.(i) msgs.(i)));
-    open_many = (fun ~epoch frames -> Array.map (fun f -> Cipher.open_ ~key:(raw ~epoch) f) frames);
-    mac_many =
-      (fun ~epoch msgs -> Array.map (fun m -> Hmac.mac ~key:(ack_raw (raw ~epoch)) m) msgs);
-    verify_many =
-      (fun ~epoch ~tags msgs ->
-        Array.init (Array.length msgs) (fun i ->
-            Hmac.verify ~key:(ack_raw (raw ~epoch)) ~tag:tags.(i) msgs.(i))) }
-
-let ops_of_mode mode ~key group_prf =
-  match mode with
-  | Batched -> batched_ops group_prf
-  | Per_message -> per_message_ops key
+type epoch_key = { ek_epoch : int; ck : Cipher.key }
 
 (* ------------------------------------------------------------------ *)
 (* Wire formats.                                                       *)
@@ -173,8 +110,8 @@ let read_u32 s pos =
   lor (Char.code s.[pos + 2] lsl 8)
   lor Char.code s.[pos + 3]
 
-(* Authenticated payload of a data frame: channel id (epoch keys are shared
-   by the whole group, so without the binding a valid frame could be
+(* Authenticated payload of a Repeat data frame: channel id (epoch keys are
+   shared by the whole group, so without the binding a valid frame could be
    spliced onto another logical channel), sequence number, sealing epoch,
    enqueue round (for latency accounting). *)
 let encode_payload ~chan ~seq ~epoch ~enq body =
@@ -215,33 +152,20 @@ let decode_data blob =
     | Some sealed -> Some (read_u32 blob 0, sealed)
     | None -> None
 
-(* Ack frame: marker, channel, seq, epoch, 32-byte HMAC under the epoch's
-   ack subkey.  MAC-only — a bare sequence number needs no secrecy. *)
-let ack_msg ~chan ~seq ~epoch = "ack|" ^ u32 chan ^ u32 seq ^ u32 epoch
-
-let encode_ack ~chan ~seq ~epoch tag = "A" ^ u32 chan ^ u32 seq ^ u32 epoch ^ tag
-
-let decode_ack blob =
-  if String.length blob <> 45 || blob.[0] <> 'A' then None
-  else Some (read_u32 blob 1, read_u32 blob 5, read_u32 blob 9, String.sub blob 13 32)
-
-(* Piggybacked-mode sealed payloads.  The first word carries the cumulative
+(* Acked-transport sealed payloads.  The first word carries the cumulative
    ack for the opposite direction (stored as ack + 1 so -1, "nothing
    delivered yet", encodes cleanly) with the kind flag folded into its top
    bit: flag clear is a data frame, flag set a bare ack carrier sent when
    the sender's queue is empty but the partner still has unretired frames.
 
    The layout is sized to the keystream: {!Cipher} keystream blocks are 32
-   bytes, and the slotted data payload (16-byte header + default 16-byte
-   body) fills exactly one.  A naive kind byte + ack word + full slotted
-   header would spill the piggybacked payload into a second block and
-   nearly double the stream-cipher work of every frame, so the sealing
-   epoch — redundant inside the payload, because the clear epoch header
-   selects the (epoch-derived) key and any tampering with it fails
-   authentication outright — is dropped and the kind flag costs no bytes.
-   At the default body size a piggybacked data payload is the same 32
-   bytes as its slotted counterpart.  Distinct encodings keep the slotted
-   wire format byte-for-byte untouched. *)
+   bytes, and a 16-byte header plus the default 16-byte body fills exactly
+   one.  A kind byte + ack word + the full Repeat header would spill into a
+   second block and nearly double the stream-cipher work of every frame,
+   so the sealing epoch — redundant inside the payload, because the clear
+   epoch header selects the (epoch-derived) key and any tampering with it
+   fails authentication outright — is dropped and the kind flag costs no
+   bytes. *)
 let pig_ack_flag = 1 lsl 31
 
 let encode_pig_data ~ack ~chan ~seq ~enq body =
@@ -258,10 +182,10 @@ let encode_pig_data ~ack ~chan ~seq ~enq body =
 let encode_pig_ack ~ack ~chan ~epoch ~round =
   u32 ((ack + 1) lor pig_ack_flag) ^ u32 chan ^ u32 epoch ^ u32 round
 
-(* Piggybacked frames are re-sealed whenever the folded ack advances, so
-   their nonces are keyed by (channel, emulated round) — unique per sealed
-   blob — with tag bits keeping them disjoint from the slotted
-   [nonce_of] space and from each other. *)
+(* Acked frames are re-sealed whenever the folded ack advances, so their
+   nonces are keyed by (channel, emulated round) — unique per sealed blob —
+   with tag bits keeping them disjoint from the Repeat [nonce_of] space and
+   from each other. *)
 let pig_nonce ~tag ~chan ~round =
   Int64.logor
     (Int64.shift_left 1L tag)
@@ -283,7 +207,7 @@ let gen_body ~payload ~chan ~seq =
 
 type transport = Acked | Repeat of { reps : int; group : int }
 
-type ack_mode = Slotted | Piggybacked
+type ack_mode = Piggybacked
 
 type spec = {
   key : string;
@@ -291,8 +215,6 @@ type spec = {
   phys : int;
   budget : int;
   transport : transport;
-  ack_mode : ack_mode;
-  crypto : crypto_mode;
   rounds : int;
   rate : int;
   queue_cap : int;
@@ -304,9 +226,9 @@ type spec = {
   seed : int64;
 }
 
-let make ~key ~logical ~phys ~budget ?(transport = Acked) ?(ack_mode = Slotted)
-    ?(crypto = Batched) ~rounds ?(rate = 1) ?(queue_cap = 8) ?(window = 32)
-    ?(epoch_len = 16) ?(grace = 4) ?(payload = 16) ?(outsiders = 0) ?(seed = 1L) () =
+let make ~key ~logical ~phys ~budget ?(transport = Acked) ?ack_mode:(_ : ack_mode option)
+    ~rounds ?(rate = 1) ?(queue_cap = 8) ?(window = 32) ?(epoch_len = 16) ?(grace = 4)
+    ?(payload = 16) ?(outsiders = 0) ?(seed = 1L) () =
   if logical < 1 then invalid_arg "Mux.make: need at least one logical channel";
   if phys < 2 then invalid_arg "Mux.make: need at least 2 physical channels";
   if budget < 0 || budget >= phys then invalid_arg "Mux.make: need 0 <= budget < phys";
@@ -318,49 +240,36 @@ let make ~key ~logical ~phys ~budget ?(transport = Acked) ?(ack_mode = Slotted)
   if payload < 0 then invalid_arg "Mux.make: negative payload";
   if outsiders < 0 then invalid_arg "Mux.make: negative outsiders";
   (match transport with
-  | Acked -> ()
+  | Acked ->
+    if logical < 2 || logical land 1 <> 0 then
+      invalid_arg "Mux.make: Acked transport needs an even number of logical channels"
   | Repeat { reps; group } ->
     if reps < 1 then invalid_arg "Mux.make: Repeat needs reps >= 1";
     if group < 2 then invalid_arg "Mux.make: Repeat needs group >= 2");
-  (match ack_mode with
-  | Slotted -> ()
-  | Piggybacked ->
-    if transport <> Acked then
-      invalid_arg "Mux.make: Piggybacked acks need the Acked transport";
-    if logical < 2 || logical land 1 <> 0 then
-      invalid_arg "Mux.make: Piggybacked acks need an even number of logical channels");
   ignore (Window.create ~width:window);
-  { key; logical; phys; budget; transport; ack_mode; crypto; rounds; rate; queue_cap;
-    window; epoch_len; grace; payload; outsiders; seed }
+  { key; logical; phys; budget; transport; rounds; rate; queue_cap; window; epoch_len;
+    grace; payload; outsiders; seed }
 
 let service_nodes spec =
-  match (spec.transport, spec.ack_mode) with
-  | Acked, Slotted -> 2 * spec.logical
+  match spec.transport with
   (* Duplex pairing: node c is both the sender of channel c and the
      receiver of channel [c lxor 1], so one node per channel suffices. *)
-  | Acked, Piggybacked -> spec.logical
-  | Repeat { group; _ }, _ -> spec.logical * group
+  | Acked -> spec.logical
+  | Repeat { group; _ } -> spec.logical * group
 
 let node_count spec = service_nodes spec + spec.outsiders
 
-(* Data (and ack) slots per phase: with S = ceil(logical / phys), the at
-   most [phys] channels sharing a slot occupy distinct physical channels.
-   Piggybacked mode needs S >= 2 so a node's out-channel c and in-channel
-   [c lxor 1] (consecutive ids) always land in different slots. *)
+(* Data slots per round: with S = ceil(logical / phys), the at most [phys]
+   channels sharing a slot occupy distinct physical channels.  S >= 2 so a
+   node's out-channel c and in-channel [c lxor 1] (consecutive ids) always
+   land in different slots. *)
 let slots spec =
-  match (spec.transport, spec.ack_mode) with
-  | Acked, Slotted -> (spec.logical + spec.phys - 1) / spec.phys
-  | Acked, Piggybacked -> max ((spec.logical + spec.phys - 1) / spec.phys) 2
-  | Repeat { reps; _ }, _ -> reps
+  match spec.transport with
+  | Acked -> max ((spec.logical + spec.phys - 1) / spec.phys) 2
+  | Repeat { reps; _ } -> reps
 
-let real_rounds_per_emulated spec =
-  match (spec.transport, spec.ack_mode) with
-  | Acked, Slotted -> (2 * slots spec) + 2
-  (* No ack phase and no mid sync: S data slots + the end sync round.  The
-     cumulative ack rides inside the next data frame of the opposite
-     direction. *)
-  | Acked, Piggybacked -> slots spec + 1
-  | Repeat { reps; _ }, _ -> reps + 1
+(* S data slots + the sync round. *)
+let real_rounds_per_emulated spec = slots spec + 1
 
 (* ------------------------------------------------------------------ *)
 (* Run statistics.                                                     *)
@@ -430,19 +339,19 @@ type state = {
   s : int;  (* slots per phase *)
   rpe : int;  (* real rounds per emulated round *)
   hop_prf : Prf.Keyed.t;
-  ops : ops;
+  group_prf : Prf.Keyed.t;
+  (* Epoch cipher keys cached by epoch parity: exactly the current and
+     previous epoch are ever decodable, so the two slots never thrash. *)
+  keys : epoch_key option array;
+  scratch : Cipher.scratch;
   st : stats;
   lat : int array;
-  mutable prepared_data : int;  (* last round [prepare_data] ran for; -1 before start *)
-  mutable prepared_acks : int;  (* last round [prepare_acks] ran for; -1 before start *)
+  mutable prepared : int;  (* last round [prepare] ran for; -1 before start *)
   (* The round plan fibers execute, per logical channel. *)
   data_blob : string array;  (* "" = nothing to send *)
-  ack_blob : string array;  (* "" = no ack pending *)
   data_chan : int array;
-  ack_chan : int array;
   (* What fibers heard last emulated round (stored at resume time). *)
   heard_data : Radio.Frame.t option array;  (* Acked: receiver of channel c *)
-  heard_ack : Radio.Frame.t option array;  (* Acked: sender of channel c *)
   heard_multi : string list array;  (* Repeat: per node, reverse arrival order *)
   (* Bounded per-channel send queues (flat ring buffers). *)
   q_seq : int array;
@@ -450,19 +359,12 @@ type state = {
   q_head : int array;
   q_len : int array;
   next_seq : int array;
-  (* Sender side, per channel. *)
-  sent_once : bool array;  (* head already transmitted at least once *)
-  seal_seq : int array;  (* cache identity of [data_blob]; -1 = empty *)
-  seal_epoch : int array;
-  (* Receiver side, per channel (Acked). *)
-  windows : Window.t array;
-  ack_pend_seq : int array;  (* latest delivered seq, re-acked each round; -1 none *)
-  ack_built_seq : int array;  (* cache identity of [ack_blob]; -1 = empty *)
-  ack_built_epoch : int array;
-  (* Piggybacked-ack extras, per channel. *)
-  inflight : int array;  (* queue entries transmitted at least once *)
+  (* Acked transport, per channel. *)
+  windows : Window.t array;  (* receiver *)
+  inflight : int array;  (* sender: queue entries transmitted at least once *)
   cum_delivered : int array;  (* receiver: contiguous delivered prefix; -1 none *)
   (* Repeat transport extras. *)
+  sent_once : bool array;  (* head already transmitted at least once *)
   r_sender : int array;  (* member index transmitting this round's head *)
   r_windows : Window.t array;  (* per node *)
   r_chans : int array;  (* logical * reps hop assignments for this round *)
@@ -471,39 +373,31 @@ type state = {
 let create_state spec =
   let m = spec.logical in
   let nodes = node_count spec in
-  let group_prf = Prf.Keyed.create spec.key in
   let multi = match spec.transport with Acked -> 0 | Repeat _ -> nodes in
   let reps = match spec.transport with Acked -> 0 | Repeat { reps; _ } -> reps in
   { sp = spec;
     s = slots spec;
     rpe = real_rounds_per_emulated spec;
     hop_prf = Prf.Keyed.create (Sha256.digest ("mux-hop|" ^ spec.key));
-    ops = ops_of_mode spec.crypto ~key:spec.key group_prf;
+    group_prf = Prf.Keyed.create spec.key;
+    keys = [| None; None |];
+    scratch = Cipher.scratch ();
     st = create_stats ();
     lat = Array.make lat_buckets 0;
-    prepared_data = -1;
-    prepared_acks = -1;
+    prepared = -1;
     data_blob = Array.make m "";
-    ack_blob = Array.make m "";
     data_chan = Array.make m 0;
-    ack_chan = Array.make m 0;
     heard_data = Array.make m None;
-    heard_ack = Array.make m None;
     heard_multi = Array.make (max 1 multi) [];
     q_seq = Array.make (m * spec.queue_cap) 0;
     q_enq = Array.make (m * spec.queue_cap) 0;
     q_head = Array.make m 0;
     q_len = Array.make m 0;
     next_seq = Array.make m 0;
-    sent_once = Array.make m false;
-    seal_seq = Array.make m (-1);
-    seal_epoch = Array.make m 0;
     windows = Array.init m (fun _ -> Window.create ~width:spec.window);
-    ack_pend_seq = Array.make m (-1);
-    ack_built_seq = Array.make m (-1);
-    ack_built_epoch = Array.make m (-1);
     inflight = Array.make m 0;
     cum_delivered = Array.make m (-1);
+    sent_once = Array.make m false;
     r_sender = Array.make m 0;
     r_windows = Array.init (max 1 multi) (fun _ -> Window.create ~width:spec.window);
     r_chans = Array.make (max 1 (m * reps)) 0 }
@@ -529,16 +423,14 @@ let q_push t c ~enq =
 let q_pop t c =
   t.q_head.(c) <- (t.q_head.(c) + 1) mod t.sp.queue_cap;
   t.q_len.(c) <- t.q_len.(c) - 1;
-  t.sent_once.(c) <- false;
-  t.seal_seq.(c) <- -1;
-  t.data_blob.(c) <- ""
+  t.sent_once.(c) <- false
 
 let head_seq t c = t.q_seq.(q_slot t c 0)
 let head_enq t c = t.q_enq.(q_slot t c 0)
 
 (* Epoch-batched accumulation: collect items per distinct epoch (at most
    two epochs are ever decodable), then drain each group through a single
-   [ops] call.  Items within a group keep collection order; groups drain
+   batch call.  Items within a group keep collection order; groups drain
    in first-seen order — all deterministic. *)
 let add_item items epoch v =
   match !items with
@@ -561,100 +453,22 @@ let nonce_of ~chan ~seq =
   Int64.logor (Int64.shift_left (Int64.of_int chan) 32) (Int64.of_int seq)
 
 (* ------------------------------------------------------------------ *)
-(* prepare: the once-per-emulated-round central step (Acked).          *)
+(* Batch crypto under the cached epoch keys.                           *)
 (* ------------------------------------------------------------------ *)
 
-(* One successfully opened data payload for channel [c], received in
-   emulated round [arrival], already parsed into its fields.  Returns the
-   seq to (re-)ack, if any. *)
-let deliver_parsed t c ~arrival ~chan:c' ~seq ~enq ~body =
-  if c' <> c then begin
-    (* Valid MAC under the shared epoch key, but bound to another logical
-       channel: a splice attempt, not a delivery. *)
-    t.st.bad_frames <- t.st.bad_frames + 1;
-    None
-  end
-  else begin
-    match Window.check t.windows.(c) seq with
-    | Window.Duplicate ->
-      t.st.duplicates <- t.st.duplicates + 1;
-      Some seq (* the previous ack was lost: re-ack *)
-    | Window.Out_of_window ->
-      t.st.out_of_window <- t.st.out_of_window + 1;
-      None
-    | Window.Fresh ->
-      Window.note t.windows.(c) seq;
-      t.st.delivered <- t.st.delivered + 1;
-      note_latency t (arrival - enq);
-      if not (String.equal body (gen_body ~payload:t.sp.payload ~chan:c ~seq)) then
-        t.st.forged_accepts <- t.st.forged_accepts + 1;
-      Some seq
-  end
+let epoch_key t epoch =
+  let slot = epoch land 1 in
+  match t.keys.(slot) with
+  | Some k when k.ek_epoch = epoch -> k.ck
+  | Some _ | None ->
+    let ck = Cipher.key (epoch_raw t.group_prf ~epoch) in
+    t.keys.(slot) <- Some { ek_epoch = epoch; ck };
+    ck
 
-let deliver_payload t c ~arrival payload =
-  match decode_payload payload with
-  | None ->
-    t.st.bad_frames <- t.st.bad_frames + 1;
-    None
-  | Some (c', seq, _epoch, enq, body) -> deliver_parsed t c ~arrival ~chan:c' ~seq ~enq ~body
+let seal_many t ~epoch ~nonces msgs =
+  Cipher.seal_batch (epoch_key t epoch) t.scratch ~nonces msgs
 
-let process_heard_data t ~arrival =
-  let items = ref [] in
-  for c = 0 to t.sp.logical - 1 do
-    (match t.heard_data.(c) with
-    | None -> ()
-    | Some (Radio.Frame.Sealed blob) -> (
-      match decode_data blob with
-      | None -> t.st.bad_frames <- t.st.bad_frames + 1
-      | Some (frame_epoch, sealed) -> (
-        match verdict_at t ~now:arrival ~frame_epoch with
-        | Stale -> t.st.stale_epoch <- t.st.stale_epoch + 1
-        | Current | Previous -> add_item items frame_epoch (c, sealed)))
-    | Some _ ->
-      (* A decodable non-sealed frame on our slot: spoofed traffic. *)
-      t.st.bad_frames <- t.st.bad_frames + 1);
-    t.heard_data.(c) <- None
-  done;
-  drain_items items ~apply:(fun epoch batch ->
-      let opened = t.ops.open_many ~epoch (Array.map snd batch) in
-      Array.iteri
-        (fun i (c, _) ->
-          match opened.(i) with
-          | None -> t.st.bad_frames <- t.st.bad_frames + 1
-          | Some payload -> (
-            match deliver_payload t c ~arrival payload with
-            | Some seq -> t.ack_pend_seq.(c) <- seq
-            | None -> ()))
-        batch)
-
-let process_heard_acks t ~arrival =
-  let items = ref [] in
-  for c = 0 to t.sp.logical - 1 do
-    (match t.heard_ack.(c) with
-    | None -> ()
-    | Some (Radio.Frame.Sealed blob) -> (
-      match decode_ack blob with
-      | None -> t.st.bad_frames <- t.st.bad_frames + 1
-      | Some (c', seq, epoch, tag) -> (
-        match verdict_at t ~now:arrival ~frame_epoch:epoch with
-        | Stale -> t.st.stale_epoch <- t.st.stale_epoch + 1
-        | Current | Previous -> add_item items epoch (c, c', seq, tag)))
-    | Some _ -> t.st.bad_frames <- t.st.bad_frames + 1);
-    t.heard_ack.(c) <- None
-  done;
-  drain_items items ~apply:(fun epoch batch ->
-      let msgs = Array.map (fun (_, c', seq, _) -> ack_msg ~chan:c' ~seq ~epoch) batch in
-      let tags = Array.map (fun (_, _, _, tag) -> tag) batch in
-      let ok = t.ops.verify_many ~epoch ~tags msgs in
-      Array.iteri
-        (fun i (c, c', seq, _) ->
-          if not ok.(i) then t.st.bad_frames <- t.st.bad_frames + 1
-          else if c' <> c then t.st.bad_frames <- t.st.bad_frames + 1
-          else if t.q_len.(c) > 0 && head_seq t c = seq then begin
-            q_pop t c;
-            t.st.acked <- t.st.acked + 1
-          end)
-        batch)
+let open_many t ~epoch frames = Cipher.open_batch (epoch_key t epoch) t.scratch frames
 
 let offer_load t ~e =
   for c = 0 to t.sp.logical - 1 do
@@ -664,101 +478,8 @@ let offer_load t ~e =
     done
   done
 
-(* Build (or reuse) the sealed data frame for every busy channel.  A cached
-   frame survives as long as its sealing epoch is still decodable at the
-   receiver — which is exactly how the epoch grace window gets exercised:
-   a retransmission sealed just before a boundary rides the grace period
-   instead of being re-sealed the instant the epoch turns. *)
-let build_data_frames t ~e =
-  let cur = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
-  let items = ref [] in
-  for c = 0 to t.sp.logical - 1 do
-    if t.q_len.(c) = 0 then begin
-      t.seal_seq.(c) <- -1;
-      t.data_blob.(c) <- ""
-    end
-    else begin
-      let seq = head_seq t c in
-      let reusable =
-        t.seal_seq.(c) = seq
-        && (match verdict_at t ~now:e ~frame_epoch:t.seal_epoch.(c) with
-           | Current | Previous -> true
-           | Stale -> false)
-      in
-      if not reusable then add_item items cur (c, seq);
-      if t.sent_once.(c) then t.st.retransmissions <- t.st.retransmissions + 1;
-      t.sent_once.(c) <- true
-    end
-  done;
-  drain_items items ~apply:(fun epoch batch ->
-      let nonces = Array.map (fun (c, seq) -> nonce_of ~chan:c ~seq) batch in
-      let payloads =
-        Array.map
-          (fun (c, seq) ->
-            encode_payload ~chan:c ~seq ~epoch ~enq:(head_enq t c)
-              (gen_body ~payload:t.sp.payload ~chan:c ~seq))
-          batch
-      in
-      let sealed = t.ops.seal_many ~epoch ~nonces payloads in
-      Array.iteri
-        (fun i (c, seq) ->
-          t.seal_seq.(c) <- seq;
-          t.seal_epoch.(c) <- epoch;
-          t.data_blob.(c) <- encode_data ~epoch sealed.(i))
-        batch)
-
-(* Build (or reuse) the pending ack frame for every channel that has
-   delivered at least once.  Acks are re-sent every emulated round (the
-   slot is reserved anyway), which is what recovers from lost acks. *)
-let build_ack_frames t ~e =
-  let cur = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
-  let items = ref [] in
-  for c = 0 to t.sp.logical - 1 do
-    let seq = t.ack_pend_seq.(c) in
-    if seq < 0 then t.ack_blob.(c) <- ""
-    else begin
-      let reusable =
-        t.ack_built_seq.(c) = seq
-        && (match verdict_at t ~now:e ~frame_epoch:t.ack_built_epoch.(c) with
-           | Current | Previous -> true
-           | Stale -> false)
-      in
-      if not reusable then add_item items cur (c, seq)
-    end
-  done;
-  drain_items items ~apply:(fun epoch batch ->
-      let msgs = Array.map (fun (c, seq) -> ack_msg ~chan:c ~seq ~epoch) batch in
-      let tags = t.ops.mac_many ~epoch msgs in
-      Array.iteri
-        (fun i (c, seq) ->
-          t.ack_built_seq.(c) <- seq;
-          t.ack_built_epoch.(c) <- epoch;
-          t.ack_blob.(c) <- encode_ack ~chan:c ~seq ~epoch tags.(i))
-        batch)
-
-(* PRF-keyed slot rotation: every channel of slot s lands on a distinct
-   physical channel, and the whole slot's placement is unpredictable.  The
-   offset depends only on the slot, so the PRF is drawn once per (slot,
-   phase) and fanned out — with thousands of channels over a few dozen
-   slots, drawing it per channel made this loop as expensive as sealing
-   the frames it was placing. *)
-let assign_channels t ~e =
-  let off_d =
-    Array.init t.s (fun s ->
-        Prf.Keyed.below t.hop_prf ~label:"mux-hop-data" ~counter:((e * t.s) + s) t.sp.phys)
-  in
-  let off_a =
-    Array.init t.s (fun s ->
-        Prf.Keyed.below t.hop_prf ~label:"mux-hop-ack" ~counter:((e * t.s) + s) t.sp.phys)
-  in
-  for c = 0 to t.sp.logical - 1 do
-    let s = c mod t.s and p = c / t.s in
-    t.data_chan.(c) <- (p + off_d.(s)) mod t.sp.phys;
-    t.ack_chan.(c) <- (p + off_a.(s)) mod t.sp.phys
-  done
-
 (* ------------------------------------------------------------------ *)
-(* prepare (Acked transport, piggybacked acks).                        *)
+(* prepare (Acked transport).                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* Frames a sender may have in the air before its first retire: the ack
@@ -784,9 +505,28 @@ let apply_cum_ack t c ~ack =
     t.st.acked <- t.st.acked + 1
   done
 
-(* One opened piggybacked payload heard on channel [c]: fold the carried
-   ack into the opposite direction's queue, then (for data frames) run the
-   regular delivery judgement and advance the cumulative prefix. *)
+(* One successfully opened data payload for channel [c], received in
+   emulated round [arrival], already parsed into its fields. *)
+let deliver_parsed t c ~arrival ~chan:c' ~seq ~enq ~body =
+  if c' <> c then
+    (* Valid MAC under the shared epoch key, but bound to another logical
+       channel: a splice attempt, not a delivery. *)
+    t.st.bad_frames <- t.st.bad_frames + 1
+  else begin
+    match Window.check t.windows.(c) seq with
+    | Window.Duplicate -> t.st.duplicates <- t.st.duplicates + 1
+    | Window.Out_of_window -> t.st.out_of_window <- t.st.out_of_window + 1
+    | Window.Fresh ->
+      Window.note t.windows.(c) seq;
+      t.st.delivered <- t.st.delivered + 1;
+      note_latency t (arrival - enq);
+      if not (String.equal body (gen_body ~payload:t.sp.payload ~chan:c ~seq)) then
+        t.st.forged_accepts <- t.st.forged_accepts + 1
+  end
+
+(* One opened payload heard on channel [c]: fold the carried ack into the
+   opposite direction's queue, then (for data frames) run the delivery
+   judgement and advance the cumulative prefix. *)
 let deliver_pig_payload t c ~arrival payload =
   let len = String.length payload in
   if len < 16 then t.st.bad_frames <- t.st.bad_frames + 1
@@ -803,8 +543,7 @@ let deliver_pig_payload t c ~arrival payload =
       apply_cum_ack t (c lxor 1) ~ack;
       let chan = read_u32 payload 4 and seq = read_u32 payload 8 and enq = read_u32 payload 12 in
       let body = String.sub payload 16 (len - 16) in
-      (match deliver_parsed t c ~arrival ~chan ~seq ~enq ~body with
-      | Some _ | None -> ());
+      deliver_parsed t c ~arrival ~chan ~seq ~enq ~body;
       advance_cum t c
     end
   end
@@ -825,7 +564,7 @@ let process_heard_pig t ~arrival =
     t.heard_data.(c) <- None
   done;
   drain_items items ~apply:(fun epoch batch ->
-      let opened = t.ops.open_many ~epoch (Array.map snd batch) in
+      let opened = open_many t ~epoch (Array.map snd batch) in
       Array.iteri
         (fun i (c, _) ->
           match opened.(i) with
@@ -873,16 +612,18 @@ let build_pig_frames t ~e =
             | None -> encode_pig_ack ~ack ~chan:c ~epoch ~round:e)
           batch
       in
-      let sealed = t.ops.seal_many ~epoch ~nonces payloads in
+      let sealed = seal_many t ~epoch ~nonces payloads in
       Array.iteri
         (fun i (c, _) -> t.data_blob.(c) <- encode_data ~epoch sealed.(i))
         batch)
 
-(* Same PRF stream and counters as the slotted data phase, so a given
-   (channel, emulated round) lands on the same physical channel in both
-   ack modes whenever the slot counts coincide.  One PRF draw per slot,
-   as in {!assign_channels}. *)
-let assign_pig_channels t ~e =
+(* PRF-keyed slot rotation: every channel of slot s lands on a distinct
+   physical channel, and the whole slot's placement is unpredictable.  The
+   offset depends only on the slot, so the PRF is drawn once per slot and
+   fanned out — with thousands of channels over a few dozen slots, drawing
+   it per channel made this loop as expensive as sealing the frames it was
+   placing. *)
+let assign_channels t ~e =
   let off =
     Array.init t.s (fun s ->
         Prf.Keyed.below t.hop_prf ~label:"mux-hop-data" ~counter:((e * t.s) + s) t.sp.phys)
@@ -918,7 +659,7 @@ let process_heard_multi t ~arrival ~group =
       (List.rev t.heard_multi.(node))
   done;
   drain_items items ~apply:(fun epoch batch ->
-      let res = t.ops.open_many ~epoch (Array.map snd batch) in
+      let res = open_many t ~epoch (Array.map snd batch) in
       Array.iteri
         (fun i (blob, _) ->
           match res.(i) with
@@ -981,7 +722,6 @@ let build_repeat_frames t ~e ~reps ~group =
   let items = ref [] in
   for c = 0 to t.sp.logical - 1 do
     if t.q_len.(c) = 0 then begin
-      t.seal_seq.(c) <- -1;
       t.data_blob.(c) <- "";
       t.sent_once.(c) <- false
     end
@@ -1001,12 +741,9 @@ let build_repeat_frames t ~e ~reps ~group =
               (gen_body ~payload:t.sp.payload ~chan:c ~seq))
           batch
       in
-      let sealed = t.ops.seal_many ~epoch ~nonces payloads in
+      let sealed = seal_many t ~epoch ~nonces payloads in
       Array.iteri
-        (fun i (c, seq) ->
-          t.seal_seq.(c) <- seq;
-          t.seal_epoch.(c) <- epoch;
-          t.data_blob.(c) <- encode_data ~epoch sealed.(i))
+        (fun i (c, _) -> t.data_blob.(c) <- encode_data ~epoch sealed.(i))
         batch);
   for c = 0 to t.sp.logical - 1 do
     for j = 0 to reps - 1 do
@@ -1022,78 +759,35 @@ let build_repeat_frames t ~e ~reps ~group =
 (* ------------------------------------------------------------------ *)
 
 (* Round start: retire heads acknowledged last round, take offered load,
-   seal this round's data frames, place the slots.  (Repeat transport does
-   everything here — it has no ack phase.) *)
-let prepare_data t ~e =
+   seal this round's frames, place them on the band. *)
+let prepare t ~e =
   if e > 0 && e mod t.sp.epoch_len = 0 then t.st.rekeys <- t.st.rekeys + 1;
-  (match (t.sp.transport, t.sp.ack_mode) with
-  | Acked, Slotted ->
-    if e > 0 then process_heard_acks t ~arrival:(e - 1);
-    offer_load t ~e;
-    build_data_frames t ~e;
-    assign_channels t ~e
-  | Acked, Piggybacked ->
+  (match t.sp.transport with
+  | Acked ->
     if e > 0 then process_heard_pig t ~arrival:(e - 1);
     (* Round [rounds] is the flush round: acks and retransmissions still
        flow so the final deliveries get retired, but no new load enters. *)
     if e < t.sp.rounds then offer_load t ~e;
     build_pig_frames t ~e;
-    assign_pig_channels t ~e
-  | Repeat { reps; group }, _ ->
+    assign_channels t ~e
+  | Repeat { reps; group } ->
     if e > 0 then process_heard_multi t ~arrival:(e - 1) ~group;
     offer_load t ~e;
     build_repeat_frames t ~e ~reps ~group);
-  t.prepared_data <- e
+  t.prepared <- e
 
-(* After the mid sync: every data listen of this round has stored its
-   result, so deliveries can be judged and this round's acks MACed now —
-   the ack a sender hears acknowledges the frame it sent this round. *)
-let prepare_acks t ~e =
-  process_heard_data t ~arrival:e;
-  build_ack_frames t ~e;
-  t.prepared_acks <- e
+(* Fibers resume in node-id order, so the first service fiber woken in a
+   round runs the central step before any fiber reads the plan. *)
+let ensure_prepared t ~e = if t.prepared < e then prepare t ~e
 
-(* Fibers resume in node-id order, so the first service fiber woken at each
-   phase boundary runs the central step before any fiber reads the plan. *)
-let ensure_prepared_data t ~e = if t.prepared_data < e then prepare_data t ~e
-let ensure_prepared_acks t ~e = if t.prepared_acks < e then prepare_acks t ~e
-
-(* Drain what the final round's ack phase delivered (fibers have exited; no
-   frames left to build).  Data heard in the final round was already
-   processed by its own [prepare_acks]; Repeat processes everything here. *)
+(* Process what the final round delivered (fibers have exited; no frames
+   left to build). *)
 let finalize t =
-  match (t.sp.transport, t.sp.ack_mode) with
-  | Acked, Slotted -> process_heard_acks t ~arrival:(t.sp.rounds - 1)
-  | Acked, Piggybacked -> process_heard_pig t ~arrival:t.sp.rounds
-  | Repeat { group; _ }, _ -> process_heard_multi t ~arrival:(t.sp.rounds - 1) ~group
+  match t.sp.transport with
+  | Acked -> process_heard_pig t ~arrival:t.sp.rounds
+  | Repeat { group; _ } -> process_heard_multi t ~arrival:(t.sp.rounds - 1) ~group
 
-let acked_service_body t (ctx : Radio.Engine.ctx) =
-  let c = ctx.Radio.Engine.id / 2 in
-  let is_sender = ctx.Radio.Engine.id land 1 = 0 in
-  let s = c mod t.s in
-  for e = 0 to t.sp.rounds - 1 do
-    (* Data phase. *)
-    ensure_prepared_data t ~e;
-    Radio.Engine.idle_for s;
-    if is_sender then
-      if String.length t.data_blob.(c) > 0 then
-        Radio.Engine.transmit ~chan:t.data_chan.(c) (Radio.Frame.Sealed t.data_blob.(c))
-      else Radio.Engine.idle ()
-    else t.heard_data.(c) <- Radio.Engine.listen ~chan:t.data_chan.(c);
-    Radio.Engine.idle_for (t.s - 1 - s);
-    Radio.Engine.idle ();
-    (* Ack phase. *)
-    ensure_prepared_acks t ~e;
-    Radio.Engine.idle_for s;
-    if is_sender then t.heard_ack.(c) <- Radio.Engine.listen ~chan:t.ack_chan.(c)
-    else if String.length t.ack_blob.(c) > 0 then
-      Radio.Engine.transmit ~chan:t.ack_chan.(c) (Radio.Frame.Sealed t.ack_blob.(c))
-    else Radio.Engine.idle ();
-    Radio.Engine.idle_for (t.s - 1 - s);
-    Radio.Engine.idle ()
-  done
-
-(* Piggybacked service body: node [c] sends on channel c and listens on
+(* Acked service body: node [c] sends on channel c and listens on
    channel [c lxor 1]; consecutive channel ids occupy different slots
    (S >= 2), so one node covers both duties within the S data slots of the
    round.  One extra flush round (e = rounds) lets the final acks land. *)
@@ -1112,7 +806,7 @@ let pig_service_body t (ctx : Radio.Engine.ctx) =
     else t.heard_data.(in_c) <- Radio.Engine.listen ~chan:t.data_chan.(in_c)
   in
   for e = 0 to t.sp.rounds do
-    ensure_prepared_data t ~e;
+    ensure_prepared t ~e;
     Radio.Engine.idle_for lo;
     act lo;
     Radio.Engine.idle_for (hi - lo - 1);
@@ -1126,7 +820,7 @@ let repeat_service_body t ~reps ~group (ctx : Radio.Engine.ctx) =
   let c = node / group in
   let m = node mod group in
   for e = 0 to t.sp.rounds - 1 do
-    ensure_prepared_data t ~e;
+    ensure_prepared t ~e;
     let sending = t.sent_once.(c) && m = t.r_sender.(c) in
     for j = 0 to reps - 1 do
       let chan = t.r_chans.((c * reps) + j) in
@@ -1183,8 +877,8 @@ let outsider_body t (ctx : Radio.Engine.ctx) =
 let run ?pool spec ~adversary =
   let t = create_state spec in
   let n = node_count spec in
-  (* Piggybacked mode runs one extra (flush) emulated round. *)
-  let emulated = spec.rounds + (match spec.ack_mode with Slotted -> 0 | Piggybacked -> 1) in
+  (* The Acked transport runs one extra (flush) emulated round. *)
+  let emulated = spec.rounds + (match spec.transport with Acked -> 1 | Repeat _ -> 0) in
   let cfg =
     Radio.Config.make ~seed:spec.seed
       ~max_rounds:((emulated * t.rpe) + 4)
@@ -1194,10 +888,9 @@ let run ?pool spec ~adversary =
   let body (ctx : Radio.Engine.ctx) =
     if ctx.Radio.Engine.id >= service then outsider_body t ctx
     else
-      match (spec.transport, spec.ack_mode) with
-      | Acked, Slotted -> acked_service_body t ctx
-      | Acked, Piggybacked -> pig_service_body t ctx
-      | Repeat { reps; group }, _ -> repeat_service_body t ~reps ~group ctx
+      match spec.transport with
+      | Acked -> pig_service_body t ctx
+      | Repeat { reps; group } -> repeat_service_body t ~reps ~group ctx
   in
   let engine = Radio.Engine.run_nodes ?pool cfg ~adversary body in
   finalize t;
@@ -1205,24 +898,24 @@ let run ?pool spec ~adversary =
     real_rounds_per_emulated = t.rpe }
 
 (* ------------------------------------------------------------------ *)
-(* Canonical rendering (crypto-mode- and pool-independent).            *)
+(* Canonical rendering (pool-independent).                            *)
 (* ------------------------------------------------------------------ *)
 
 let transport_name = function
   | Acked -> "acked"
   | Repeat { reps; group } -> Printf.sprintf "repeat(reps=%d,group=%d)" reps group
 
-let ack_mode_name = function Slotted -> "slotted" | Piggybacked -> "piggybacked"
+(* The Acked transport piggybacks its acks; Repeat sends none. *)
+let ack_name = function Acked -> "piggybacked" | Repeat _ -> "none"
 
-(* Everything here must be byte-identical across crypto modes and pool
-   sizes — it is the text the bench's determinism rows hash.  The crypto
-   mode itself is deliberately excluded. *)
+(* Everything here must be byte-identical across pool sizes — it is the
+   text the bench's determinism rows hash. *)
 let render_stats r =
   let b = Buffer.create 1024 in
   let s = r.stats in
   Printf.bprintf b "mux/v1 transport=%s ack=%s logical=%d phys=%d budget=%d rounds=%d\n"
     (transport_name r.spec.transport)
-    (ack_mode_name r.spec.ack_mode)
+    (ack_name r.spec.transport)
     r.spec.logical r.spec.phys r.spec.budget r.spec.rounds;
   Printf.bprintf b
     "cfg rate=%d queue_cap=%d window=%d epoch_len=%d grace=%d payload=%d outsiders=%d seed=%Ld\n"

@@ -9,12 +9,9 @@
     shed load when the radio cannot keep up.
 
     All protocol work is centralized in a once-per-emulated-round prepare
-    step that batch-seals, batch-opens, batch-MACs and batch-verifies every
-    frame of the round through {!Crypto.Cipher} / {!Crypto.Hmac} batch
-    entry points ([crypto = Batched]) or through the naive one-shot API
-    re-deriving key material per frame ([crypto = Per_message]).  Both
-    modes produce byte-identical frames, decisions, and {!render_stats}
-    output — the throughput bench A/Bs them. *)
+    step that batch-seals and batch-opens every frame of the round through
+    the {!Crypto.Cipher} batch entry points, under epoch keys cached for
+    the current and previous epoch. *)
 
 (** Pure sliding replay window over per-channel sequence numbers.  Exposed
     for property tests. *)
@@ -51,34 +48,29 @@ val epoch_verdict :
 
 val epoch_of : epoch_len:int -> now:int -> int
 
-type crypto_mode = Batched | Per_message
-
 type transport =
   | Acked
-      (** One sender/receiver pair per logical channel; slotted data and
-          ack phases, each closed by a sync round
-          ([2 * ceil(logical / phys) + 2] real rounds per emulated round).
-          A message is sent, delivered, and acknowledged within one
-          emulated round; lost frames or acks drive retransmission and
-          queue draining. *)
+      (** [logical] even.  Channels are paired as duplex streams (channel
+          [c] and [c lxor 1] run between the same two nodes, one node per
+          channel), and the cumulative ack for the opposite direction rides
+          inside each sealed data frame — or a bare sealed ack carrier when
+          the queue is empty.  An emulated round is S data slots plus a
+          sync round, [S + 1] real rounds with
+          [S = max(ceil(logical / phys), 2)].  A send window of 2 keeps the
+          pipeline full at rate 1; lost frames or acks drive
+          retransmission.  One extra flush emulated round retires the final
+          deliveries, so drained runs end with [acked = delivered]. *)
   | Repeat of { reps : int; group : int }
       (** [group] members per logical channel; the designated sender
           repeats the sealed head frame [reps] times on a PRF-hopping
           channel ([reps + 1] real rounds per emulated round) — the E9
           broadcast shape. *)
 
-type ack_mode =
-  | Slotted  (** dedicated ack phase: [2S + 2] real rounds per emulated *)
-  | Piggybacked
-      (** Acked transport only, [logical] even.  Channels are paired as
-          duplex streams (channel [c] and [c lxor 1] run between the same
-          two nodes, one node per channel), and the cumulative ack for the
-          opposite direction rides inside each sealed data frame — or a
-          bare sealed ack carrier when the queue is empty — so an emulated
-          round is [max(S, 2) + 1] real rounds instead of [2S + 2].  A
-          send window of 2 keeps the pipeline full at rate 1; one extra
-          flush emulated round retires the final deliveries, so drained
-          runs end with [acked = delivered] just like the slotted mode. *)
+type ack_mode = Piggybacked
+(** The one ack mode: acks ride inside the [Acked] transport's data
+    frames.  The type and {!make}'s [?ack_mode] argument exist only so that
+    callers naming the mode explicitly keep compiling; nothing reads
+    them. *)
 
 type spec = {
   key : string;  (** group key *)
@@ -86,8 +78,6 @@ type spec = {
   phys : int;  (** physical radio channels *)
   budget : int;  (** adversary strikes per round *)
   transport : transport;
-  ack_mode : ack_mode;
-  crypto : crypto_mode;
   rounds : int;  (** emulated rounds to run *)
   rate : int;  (** messages offered per channel per emulated round *)
   queue_cap : int;  (** bounded send queue; overflow is shed *)
@@ -106,7 +96,6 @@ val make :
   budget:int ->
   ?transport:transport ->
   ?ack_mode:ack_mode ->
-  ?crypto:crypto_mode ->
   rounds:int ->
   ?rate:int ->
   ?queue_cap:int ->
@@ -119,13 +108,12 @@ val make :
   unit ->
   spec
 (** Validates every field; raises [Invalid_argument] otherwise.  Defaults:
-    [Acked], [Slotted], [Batched], rate 1, queue_cap 8, window 32,
-    epoch_len 16, grace 4, payload 16, outsiders 0, seed 1. *)
+    [Acked], rate 1, queue_cap 8, window 32, epoch_len 16, grace 4,
+    payload 16, outsiders 0, seed 1. *)
 
 val node_count : spec -> int
-(** Engine nodes the run needs: 2 per channel (Acked, Slotted), 1 per
-    channel (Acked, Piggybacked) or [group] per channel (Repeat), plus
-    [outsiders]. *)
+(** Engine nodes the run needs: 1 per channel (Acked) or [group] per
+    channel (Repeat), plus [outsiders]. *)
 
 val real_rounds_per_emulated : spec -> int
 
@@ -164,13 +152,11 @@ val latency_percentile : result -> float -> int
 val run : ?pool:Parallel.Pool.t -> spec -> adversary:Radio.Adversary.t -> result
 (** Run the workload on the sparse engine (channel-usage tracking on).
     Deterministic in [spec]: byte-identical stats and {!render_stats} for
-    every pool size and for both crypto modes. *)
+    every pool size. *)
 
 val render_stats : result -> string
-(** Canonical multi-line rendering of everything observable about the run.
-    Deliberately excludes the crypto mode, so Batched and Per_message runs
-    of the same spec render identically — the bench's determinism rows
-    hash this. *)
+(** Canonical multi-line rendering of everything observable about the run;
+    the bench's determinism rows hash this. *)
 
 val output_digest : result -> string
 (** SHA-256 (hex) of {!render_stats}. *)

@@ -337,9 +337,8 @@ let cipher_keyed_equals_oneshot =
 
 (* -- batch entry points: byte-identical to the keyed per-message forms.
 
-   The mux service A/Bs batched against per-message crypto and asserts the
-   outputs are byte-identical; these properties are the foundation of that
-   claim.  One scratch is deliberately reused across the whole batch (and
+   The mux service seals and opens only through the batch entry points;
+   these properties tie them to the naive one-shot API.  One scratch is deliberately reused across the whole batch (and
    across batches) to exercise buffer-reuse bugs. *)
 
 let batch_gen =
@@ -360,33 +359,6 @@ let sha_copy_into_equals_copy =
       let into = Bytes.create Sha256.digest_size in
       Sha256.finalize_into spare into ~pos:0;
       Bytes.to_string into = Sha256.digest (a ^ b))
-
-let hmac_mac_batch_equals_keyed =
-  QCheck.Test.make ~name:"mac_batch = mac_keyed per element" ~count:200 batch_gen
-    (fun (key, msgs) ->
-      let k = Hmac.key key in
-      let batch = Hmac.mac_batch k (Array.of_list msgs) in
-      List.for_all2
-        (fun m tag -> String.equal tag (Hmac.mac_keyed k m))
-        msgs (Array.to_list batch))
-
-let hmac_verify_batch_equals_keyed =
-  QCheck.Test.make ~name:"verify_batch accepts right, rejects flipped" ~count:200 batch_gen
-    (fun (key, msgs) ->
-      let k = Hmac.key key in
-      let arr = Array.of_list msgs in
-      let tags = Hmac.mac_batch k arr in
-      let ok = Hmac.verify_batch k ~tags arr in
-      let flipped =
-        Array.map
-          (fun tag ->
-            let b = Bytes.of_string tag in
-            Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
-            Bytes.to_string b)
-          tags
-      in
-      let bad = Hmac.verify_batch k ~tags:flipped arr in
-      Array.for_all Fun.id ok && not (Array.exists Fun.id bad))
 
 let prf_keystream_into_equals_keystream =
   QCheck.Test.make ~name:"keystream_into = keystream (shared scratch, offsets)" ~count:200
@@ -444,14 +416,11 @@ let cipher_batch_rejects_cross_frame_tamper () =
   check Alcotest.bool "both rejected" true (Array.for_all (fun o -> o = None) opened)
 
 let batch_length_mismatch () =
-  let ck = Cipher.key "k" and k = Hmac.key "k" in
+  let ck = Cipher.key "k" in
   let scratch = Cipher.scratch () in
   Alcotest.check_raises "seal_batch mismatch"
     (Invalid_argument "Cipher.seal_batch: length mismatch") (fun () ->
-      ignore (Cipher.seal_batch ck scratch ~nonces:[| 1L |] [| "a"; "b" |]));
-  Alcotest.check_raises "verify_batch mismatch"
-    (Invalid_argument "Hmac.verify_batch: length mismatch") (fun () ->
-      ignore (Hmac.verify_batch k ~tags:[| "t" |] [| "a"; "b" |]))
+      ignore (Cipher.seal_batch ck scratch ~nonces:[| 1L |] [| "a"; "b" |]))
 
 let () =
   Alcotest.run "crypto"
@@ -473,9 +442,7 @@ let () =
           qcheck hmac_verify_rejects_tamper;
           qcheck hmac_keyed_equals_oneshot;
           Alcotest.test_case "keyed handle reusable" `Quick hmac_keyed_reusable;
-          qcheck hmac_verify_wrong_length;
-          qcheck hmac_mac_batch_equals_keyed;
-          qcheck hmac_verify_batch_equals_keyed ] );
+          qcheck hmac_verify_wrong_length ] );
       ( "modarith",
         [ Alcotest.test_case "mulmod small reference" `Quick mulmod_matches_small;
           Alcotest.test_case "mulmod large" `Quick mulmod_large_no_overflow;

@@ -1,6 +1,6 @@
 (* Tests for the multiplexed secure-channel service: replay windows, epoch
-   re-keying, backpressure, crypto-mode equivalence (batched vs per-message
-   byte identity), pool-size determinism, and both transports end-to-end. *)
+   re-keying, backpressure, epoch keys against the one-shot crypto API,
+   pool-size determinism, and both transports end-to-end. *)
 
 module Mux = Secure_channel.Mux
 
@@ -100,30 +100,48 @@ let epoch_boundary_cases () =
   match v ~now:25 ~fe:0 with Mux.Stale -> () | _ -> Alcotest.fail "two epochs back"
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end runs.                                                    *)
+(* End-to-end runs (Acked transport).                                  *)
 (* ------------------------------------------------------------------ *)
 
 let null = Radio.Adversary.null
 
 let jammer seed budget = Radio.Adversary.random_jammer (Prng.Rng.create seed) ~channels:8 ~budget
 
-let base_spec ?(crypto = Mux.Batched) ?(transport = Mux.Acked) ?(rounds = 40)
-    ?(logical = 24) ?(rate = 1) ?(queue_cap = 8) ?(outsiders = 0) () =
-  Mux.make ~key ~logical ~phys:8 ~budget:2 ~transport ~crypto ~rounds ~rate ~queue_cap
-    ~epoch_len:8 ~grace:3 ~outsiders ~seed:11L ()
+let base_spec ?(transport = Mux.Acked) ?(rounds = 40) ?(logical = 24) ?(rate = 1)
+    ?(queue_cap = 64) ?(epoch_len = 8) ?(grace = 3) ?(outsiders = 0) () =
+  Mux.make ~key ~logical ~phys:8 ~budget:2 ~transport ~rounds ~rate ~queue_cap ~epoch_len
+    ~grace ~outsiders ~seed:11L ()
+
+(* Jams [budget] fixed channels during the first [real_rounds] engine rounds
+   and then falls silent forever, so early losses are retransmitted out of
+   the queue while the adversary is quiet and the run still drains. *)
+let early_jammer ~real_rounds ~budget =
+  { Radio.Adversary.name = "early-jammer";
+    act =
+      (fun ~round ->
+        if round < real_rounds then
+          List.init budget (fun i -> { Radio.Adversary.chan = i; spoof = None })
+        else []);
+    observe = (fun _ -> ());
+    observes = false }
 
 let acked_null_delivers () =
   let r = Mux.run (base_spec ()) ~adversary:null in
+  let s = r.Mux.stats in
   check Alcotest.bool "completed" true r.Mux.engine.Radio.Engine.completed;
-  check Alcotest.bool "delivers plenty" true (r.Mux.stats.Mux.delivered > 500);
-  check Alcotest.int "no forged accepts" 0 r.Mux.stats.Mux.forged_accepts;
-  check Alcotest.int "no leaks" 0 r.Mux.stats.Mux.plaintext_leaks;
-  check Alcotest.bool "acks retire heads" true (r.Mux.stats.Mux.acked > 500);
-  check Alcotest.bool "epochs rolled" true (r.Mux.stats.Mux.rekeys >= 4);
-  (* Under the null adversary nothing is lost: every slot is collision-free
-     by construction, so no retransmissions and no duplicates. *)
-  check Alcotest.int "no retransmissions" 0 r.Mux.stats.Mux.retransmissions;
-  check Alcotest.int "no duplicates" 0 r.Mux.stats.Mux.duplicates
+  check Alcotest.int "offered = rate * logical * rounds" (24 * 40) s.Mux.offered;
+  check Alcotest.int "fully drained: delivered = offered" s.Mux.offered s.Mux.delivered;
+  check Alcotest.int "fully drained: acked = delivered" s.Mux.delivered s.Mux.acked;
+  check Alcotest.int "no shedding" 0 s.Mux.shed;
+  check Alcotest.bool "epochs rolled" true (s.Mux.rekeys >= 4);
+  check Alcotest.int "no forged accepts" 0 s.Mux.forged_accepts;
+  check Alcotest.int "no leaks" 0 s.Mux.plaintext_leaks;
+  (* Every slot is collision-free by construction, so nothing is lost.  The
+     one flush round re-sends each channel's final head as its ack
+     carrier, and the receiver sees it as a duplicate. *)
+  check Alcotest.int "flush-round retransmissions only" 24 s.Mux.retransmissions;
+  check Alcotest.int "flush-round duplicates only" 24 s.Mux.duplicates;
+  check Alcotest.int "null-adversary p99 latency" 0 (Mux.latency_percentile r 0.99)
 
 let acked_jamming_retransmits () =
   let r = Mux.run (base_spec ~rounds:60 ()) ~adversary:(jammer 5L 2) in
@@ -142,139 +160,23 @@ let backpressure_sheds () =
     (3 * 24 * 30) r.Mux.stats.Mux.offered
 
 let outsiders_cannot_read_or_forge () =
-  let r = Mux.run (base_spec ~rounds:40 ~outsiders:3 ()) ~adversary:null in
+  let r = Mux.run (base_spec ~outsiders:3 ()) ~adversary:null in
   check Alcotest.bool "outsiders overheard traffic" true (r.Mux.stats.Mux.snooped > 0);
   check Alcotest.int "secrecy: no outsider decryption" 0 r.Mux.stats.Mux.plaintext_leaks;
   check Alcotest.int "authenticity: no forged accepts" 0 r.Mux.stats.Mux.forged_accepts;
-  (* Outsider injections that land on a listened slot die on the MAC. *)
-  check Alcotest.bool "service still works" true (r.Mux.stats.Mux.delivered > 500)
-
-let crypto_modes_byte_identical () =
-  List.iter
-    (fun mk_adversary ->
-      (* A fresh adversary per run: random_jammer carries mutable rng state. *)
-      let a = Mux.run (base_spec ~crypto:Mux.Batched ~rounds:30 ()) ~adversary:(mk_adversary ()) in
-      let b = Mux.run (base_spec ~crypto:Mux.Per_message ~rounds:30 ()) ~adversary:(mk_adversary ()) in
-      check Alcotest.string "render_stats identical across crypto modes"
-        (Mux.render_stats a) (Mux.render_stats b);
-      check Alcotest.string "digest identical" (Mux.output_digest a) (Mux.output_digest b))
-    [ (fun () -> null); (fun () -> jammer 3L 2) ]
-
-let pool_sizes_byte_identical () =
-  let run pool = Mux.run ?pool (base_spec ~rounds:30 ~outsiders:2 ()) ~adversary:(jammer 9L 2) in
-  let solo = run None in
-  List.iter
-    (fun domains ->
-      Parallel.Pool.with_pool ~domains (fun pool ->
-          let r = run (Some pool) in
-          check Alcotest.string
-            (Printf.sprintf "render_stats identical at %d domains" domains)
-            (Mux.render_stats solo) (Mux.render_stats r)))
-    [ 2; 4 ]
-
-let repeat_transport_full_delivery () =
-  let spec =
-    base_spec ~transport:(Mux.Repeat { reps = 12; group = 5 }) ~logical:2 ~rounds:25 ()
-  in
-  let r = Mux.run spec ~adversary:(jammer 13L 2) in
-  check Alcotest.bool "completed" true r.Mux.engine.Radio.Engine.completed;
-  check Alcotest.bool "heads retired" true (r.Mux.stats.Mux.messages_done > 0);
-  check Alcotest.bool "most heads reach every receiver" true
-    (r.Mux.stats.Mux.full_deliveries * 10 >= r.Mux.stats.Mux.messages_done * 8);
-  check Alcotest.int "no forged accepts" 0 r.Mux.stats.Mux.forged_accepts;
-  let b =
-    Mux.run
-      { spec with Mux.crypto = Mux.Per_message }
-      ~adversary:(jammer 13L 2)
-  in
-  check Alcotest.string "repeat crypto modes identical" (Mux.render_stats r)
-    (Mux.render_stats b)
+  (* Outsider forgeries collide with data slots like jamming, so the rate-1
+     pipeline keeps a small backlog; the service must still mostly deliver. *)
+  check Alcotest.bool "service still works" true
+    (r.Mux.stats.Mux.delivered > (r.Mux.stats.Mux.offered * 3) / 4)
 
 let latency_percentiles_sane () =
-  let r = Mux.run (base_spec ~rounds:40 ()) ~adversary:null in
+  let r = Mux.run (base_spec ~rounds:60 ()) ~adversary:(jammer 5L 2) in
   let p50 = Mux.latency_percentile r 0.50 and p99 = Mux.latency_percentile r 0.99 in
   check Alcotest.bool "p50 <= p99" true (p50 <= p99);
-  (* Null adversary: everything delivers the round it is sent. *)
-  check Alcotest.int "null-adversary p99 latency" 0 p99
+  check Alcotest.bool "jamming delays some deliveries" true (p99 > 0)
 
-let spec_validation () =
-  Alcotest.check_raises "budget >= phys"
-    (Invalid_argument "Mux.make: need 0 <= budget < phys") (fun () ->
-      ignore (Mux.make ~key ~logical:4 ~phys:4 ~budget:4 ~rounds:10 ()));
-  Alcotest.check_raises "grace > epoch_len"
-    (Invalid_argument "Mux.make: need 0 <= grace <= epoch_len") (fun () ->
-      ignore (Mux.make ~key ~logical:4 ~phys:4 ~budget:1 ~rounds:10 ~epoch_len:4 ~grace:5 ()))
-
-(* ------------------------------------------------------------------ *)
-(* Piggybacked acks.                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let pig_spec ?(crypto = Mux.Batched) ?(ack_mode = Mux.Piggybacked) ?(rounds = 40)
-    ?(logical = 24) ?(rate = 1) ?(queue_cap = 64) ?(outsiders = 0) () =
-  Mux.make ~key ~logical ~phys:8 ~budget:2 ~transport:Mux.Acked ~ack_mode ~crypto ~rounds
-    ~rate ~queue_cap ~epoch_len:8 ~grace:3 ~outsiders ~seed:11L ()
-
-(* Jams [budget] fixed channels during the first [real_rounds] engine rounds
-   and then falls silent forever, so early losses are retransmitted out of
-   the queue while the adversary is quiet and the run still drains. *)
-let early_jammer ~real_rounds ~budget =
-  { Radio.Adversary.name = "early-jammer";
-    act =
-      (fun ~round ->
-        if round < real_rounds then
-          List.init budget (fun i -> { Radio.Adversary.chan = i; spoof = None })
-        else []);
-    observe = (fun _ -> ());
-    observes = false }
-
-(* The parity set: every counter both ack modes must agree on for a fully
-   drained run.  Duplicates, retransmissions, and latency are mechanism
-   noise (piggybacking re-sends the final head as an ack carrier) and are
-   deliberately excluded. *)
-let parity_counters (s : Mux.stats) =
-  (s.Mux.offered, s.Mux.delivered, s.Mux.acked, s.Mux.shed, s.Mux.forged_accepts,
-   s.Mux.plaintext_leaks)
-
-let pig_null_drains_and_matches_slotted () =
-  let p = Mux.run (pig_spec ()) ~adversary:null in
-  let s = Mux.run (pig_spec ~ack_mode:Mux.Slotted ()) ~adversary:null in
-  check Alcotest.bool "completed" true p.Mux.engine.Radio.Engine.completed;
-  let ps = p.Mux.stats in
-  check Alcotest.int "offered = rate * logical * rounds" (24 * 40) ps.Mux.offered;
-  check Alcotest.int "fully drained: delivered = offered" ps.Mux.offered ps.Mux.delivered;
-  check Alcotest.int "fully drained: acked = delivered" ps.Mux.delivered ps.Mux.acked;
-  check Alcotest.int "no shedding" 0 ps.Mux.shed;
-  check Alcotest.int "no forged accepts" 0 ps.Mux.forged_accepts;
-  check Alcotest.int "no leaks" 0 ps.Mux.plaintext_leaks;
-  (* The one flush round re-sends each final head as its ack carrier. *)
-  check Alcotest.int "flush-round retransmissions only" 24 ps.Mux.retransmissions;
-  check Alcotest.bool "parity with slotted on the drained counters" true
-    (parity_counters ps = parity_counters s.Mux.stats);
-  (* Fewer real radio rounds for the same emulated service. *)
-  check Alcotest.bool "piggybacking uses fewer real rounds" true
-    (p.Mux.engine.Radio.Engine.rounds_used < s.Mux.engine.Radio.Engine.rounds_used)
-
-let pig_rpe_pinned () =
-  (* The headline reduction at service-bench scale: 1024 logical channels
-     over 16 physical ones go from 2S + 2 = 130 real rounds per emulated
-     round to S + 1 = 65 — an exact 2x. *)
-  let big ack_mode =
-    Mux.make ~key ~logical:1024 ~phys:16 ~budget:2 ~ack_mode ~rounds:1 ()
-  in
-  check Alcotest.int "slotted rpe at 1024/16" 130
-    (Mux.real_rounds_per_emulated (big Mux.Slotted));
-  check Alcotest.int "piggybacked rpe at 1024/16" 65
-    (Mux.real_rounds_per_emulated (big Mux.Piggybacked));
-  check Alcotest.int "slotted rpe at 24/8" 8
-    (Mux.real_rounds_per_emulated (pig_spec ~ack_mode:Mux.Slotted ()));
-  check Alcotest.int "piggybacked rpe at 24/8" 4
-    (Mux.real_rounds_per_emulated (pig_spec ()));
-  (* Duplex pairing also halves the node count. *)
-  check Alcotest.int "slotted nodes" (2 * 1024) (Mux.node_count (big Mux.Slotted));
-  check Alcotest.int "piggybacked nodes" 1024 (Mux.node_count (big Mux.Piggybacked))
-
-let pig_early_jamming_recovers () =
-  let spec = pig_spec ~rounds:60 () in
+let early_jamming_recovers () =
+  let spec = base_spec ~rounds:60 () in
   let jam_window = 6 * Mux.real_rounds_per_emulated spec in
   let p = Mux.run spec ~adversary:(early_jammer ~real_rounds:jam_window ~budget:2) in
   let ps = p.Mux.stats in
@@ -293,52 +195,133 @@ let pig_early_jamming_recovers () =
   check Alcotest.bool "acked close behind delivered" true
     (ps.Mux.acked <= ps.Mux.delivered && ps.Mux.delivered - ps.Mux.acked <= 2 * 24)
 
-let pig_crypto_modes_byte_identical () =
-  List.iter
-    (fun mk_adversary ->
-      let a = Mux.run (pig_spec ~crypto:Mux.Batched ()) ~adversary:(mk_adversary ()) in
-      let b = Mux.run (pig_spec ~crypto:Mux.Per_message ()) ~adversary:(mk_adversary ()) in
-      check Alcotest.string "piggybacked render_stats identical across crypto modes"
-        (Mux.render_stats a) (Mux.render_stats b))
-    [ (fun () -> null);
-      (fun () -> early_jammer ~real_rounds:(4 * 4) ~budget:2);
-      (fun () -> jammer 3L 2) ]
+let rpe_pinned () =
+  (* At service-bench scale, 1024 logical channels over 16 physical ones
+     take S + 1 = 65 real rounds per emulated round. *)
+  let big = Mux.make ~key ~logical:1024 ~phys:16 ~budget:2 ~rounds:1 () in
+  check Alcotest.int "rpe at 1024/16" 65 (Mux.real_rounds_per_emulated big);
+  check Alcotest.int "rpe at 24/8" 4 (Mux.real_rounds_per_emulated (base_spec ()));
+  (* Duplex pairing: one node per logical channel. *)
+  check Alcotest.int "nodes = logical" 1024 (Mux.node_count big)
 
-let pig_pool_sizes_byte_identical () =
-  let run pool =
-    Mux.run ?pool (pig_spec ~outsiders:2 ()) ~adversary:(jammer 9L 2)
+let spec_validation () =
+  Alcotest.check_raises "budget >= phys"
+    (Invalid_argument "Mux.make: need 0 <= budget < phys") (fun () ->
+      ignore (Mux.make ~key ~logical:4 ~phys:4 ~budget:4 ~rounds:10 ()));
+  Alcotest.check_raises "grace > epoch_len"
+    (Invalid_argument "Mux.make: need 0 <= grace <= epoch_len") (fun () ->
+      ignore (Mux.make ~key ~logical:4 ~phys:4 ~budget:1 ~rounds:10 ~epoch_len:4 ~grace:5 ()));
+  Alcotest.check_raises "Acked needs even logical"
+    (Invalid_argument "Mux.make: Acked transport needs an even number of logical channels")
+    (fun () -> ignore (Mux.make ~key ~logical:5 ~phys:4 ~budget:1 ~rounds:10 ()));
+  let repeat =
+    Mux.make ~key ~logical:5 ~phys:4 ~budget:1
+      ~transport:(Mux.Repeat { reps = 3; group = 2 }) ~rounds:10 ()
   in
+  check Alcotest.int "Repeat accepts odd logical" 5 repeat.Mux.logical
+
+(* ------------------------------------------------------------------ *)
+(* Determinism and the epoch keys.                                     *)
+(* ------------------------------------------------------------------ *)
+
+let pool_sizes_byte_identical () =
+  let run pool = Mux.run ?pool (base_spec ~outsiders:2 ()) ~adversary:(jammer 9L 2) in
   let solo = run None in
   List.iter
     (fun domains ->
       Parallel.Pool.with_pool ~domains (fun pool ->
           let r = run (Some pool) in
           check Alcotest.string
-            (Printf.sprintf "piggybacked render_stats identical at %d domains" domains)
+            (Printf.sprintf "render_stats identical at %d domains" domains)
             (Mux.render_stats solo) (Mux.render_stats r)))
     [ 2; 4 ]
 
-let pig_outsiders_blocked () =
-  let r = Mux.run (pig_spec ~outsiders:3 ()) ~adversary:null in
-  check Alcotest.bool "outsiders overheard traffic" true (r.Mux.stats.Mux.snooped > 0);
-  check Alcotest.int "secrecy: no outsider decryption" 0 r.Mux.stats.Mux.plaintext_leaks;
-  check Alcotest.int "authenticity: no forged accepts" 0 r.Mux.stats.Mux.forged_accepts;
-  (* Outsider forgeries collide with data slots like jamming, so the rate-1
-     pipeline keeps a small backlog; the service must still mostly deliver. *)
-  check Alcotest.bool "service still works" true
-    (r.Mux.stats.Mux.delivered > (r.Mux.stats.Mux.offered * 3) / 4)
+(* Every honest frame on the air, checked against the naive one-shot API:
+   its clear epoch header names the epoch of the emulated round it was sent
+   in, it opens under that epoch's key derived from scratch, and it does
+   not open under the key of two epochs back — the one that last held the
+   same parity slot of the mux's key cache. *)
+let epoch_keys_match_one_shot () =
+  let epoch_len = 2 and rounds = 14 in
+  List.iter
+    (fun transport ->
+      let spec = base_spec ~transport ~rounds ~epoch_len ~grace:1 () in
+      let rpe = Mux.real_rounds_per_emulated spec in
+      let frames = ref [] in
+      let capture (r : Radio.Transcript.round_record) =
+        List.iter
+          (fun (_, _, frame) ->
+            match frame with
+            | Radio.Frame.Sealed blob -> frames := (r.Radio.Transcript.round, blob) :: !frames
+            | _ -> Alcotest.fail "honest node sent an unsealed frame")
+          r.Radio.Transcript.honest_tx
+      in
+      let adversary =
+        { Radio.Adversary.name = "recorder"; act = (fun ~round:_ -> []); observe = capture;
+          observes = true }
+      in
+      ignore (Mux.run spec ~adversary);
+      let epoch_key e = Crypto.Prf.bytes ~key ~label:"mux-epoch" ~counter:e in
+      let epochs = Hashtbl.create 8 in
+      List.iter
+        (fun (round, blob) ->
+          let e = Mux.epoch_of ~epoch_len ~now:(round / rpe) in
+          check Alcotest.int "epoch header" e (Int32.to_int (String.get_int32_be blob 0));
+          match Crypto.Cipher.decode_sub blob ~pos:4 with
+          | None -> Alcotest.fail "frame does not decode"
+          | Some sealed ->
+            Hashtbl.replace epochs e ();
+            check Alcotest.bool "opens under its epoch key" true
+              (Crypto.Cipher.open_ ~key:(epoch_key e) sealed <> None);
+            if e >= 2 then
+              check Alcotest.bool "rejected under the same cache slot's older key" true
+                (Crypto.Cipher.open_ ~key:(epoch_key (e - 2)) sealed = None))
+        !frames;
+      check Alcotest.bool "frames span at least 6 epochs" true (Hashtbl.length epochs >= 6))
+    [ Mux.Acked; Mux.Repeat { reps = 3; group = 3 } ]
 
-let pig_spec_validation () =
-  Alcotest.check_raises "piggybacked needs Acked"
-    (Invalid_argument "Mux.make: Piggybacked acks need the Acked transport") (fun () ->
-      ignore
-        (Mux.make ~key ~logical:4 ~phys:4 ~budget:1
-           ~transport:(Mux.Repeat { reps = 3; group = 2 })
-           ~ack_mode:Mux.Piggybacked ~rounds:10 ()));
-  Alcotest.check_raises "piggybacked needs even logical"
-    (Invalid_argument "Mux.make: Piggybacked acks need an even number of logical channels")
-    (fun () ->
-      ignore (Mux.make ~key ~logical:5 ~phys:4 ~budget:1 ~ack_mode:Mux.Piggybacked ~rounds:10 ()))
+(* ------------------------------------------------------------------ *)
+(* Repeat transport.                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let repeat_transport_full_delivery () =
+  let spec =
+    base_spec ~transport:(Mux.Repeat { reps = 12; group = 5 }) ~logical:2 ~rounds:25
+      ~queue_cap:8 ()
+  in
+  let r = Mux.run spec ~adversary:(jammer 13L 2) in
+  check Alcotest.bool "completed" true r.Mux.engine.Radio.Engine.completed;
+  check Alcotest.bool "heads retired" true (r.Mux.stats.Mux.messages_done > 0);
+  check Alcotest.bool "most heads reach every receiver" true
+    (r.Mux.stats.Mux.full_deliveries * 10 >= r.Mux.stats.Mux.messages_done * 8);
+  check Alcotest.int "no forged accepts" 0 r.Mux.stats.Mux.forged_accepts
+
+(* ------------------------------------------------------------------ *)
+(* radio_sim service front end.                                        *)
+(* ------------------------------------------------------------------ *)
+
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.equal (String.sub hay i ln) needle || go (i + 1)) in
+  go 0
+
+(* An invalid spec is a command-line error (cmdliner's exit 124) naming
+   the problem, not an uncaught [Invalid_argument]. *)
+let cli_rejects_invalid_spec () =
+  List.iter
+    (fun (args, problem) ->
+      let out = Filename.temp_file "radio_sim" ".out" in
+      let code =
+        Sys.command
+          (Printf.sprintf "../bin/radio_sim.exe service %s >%s 2>&1" args (Filename.quote out))
+      in
+      let output = In_channel.with_open_bin out In_channel.input_all in
+      Sys.remove out;
+      check Alcotest.int (args ^ ": exit code") 124 code;
+      if not (contains output problem) || contains output "exception" then
+        Alcotest.failf "%s: expected a usage error naming %S, got: %s" args problem output)
+    [ ("--channels 5", "even number of logical channels");
+      ("-t 16", "budget < phys") ]
 
 let () =
   Alcotest.run "mux"
@@ -355,19 +338,12 @@ let () =
           Alcotest.test_case "backpressure sheds" `Quick backpressure_sheds;
           Alcotest.test_case "outsiders blocked" `Quick outsiders_cannot_read_or_forge;
           Alcotest.test_case "latency sane" `Quick latency_percentiles_sane;
-          Alcotest.test_case "spec validation" `Quick spec_validation ] );
+          Alcotest.test_case "spec validation" `Quick spec_validation;
+          Alcotest.test_case "early jamming recovers" `Quick early_jamming_recovers;
+          Alcotest.test_case "real-rounds reduction pinned" `Quick rpe_pinned ] );
       ( "determinism",
-        [ Alcotest.test_case "crypto modes byte-identical" `Quick crypto_modes_byte_identical;
-          Alcotest.test_case "pool sizes byte-identical" `Quick pool_sizes_byte_identical ] );
+        [ Alcotest.test_case "pool sizes byte-identical" `Quick pool_sizes_byte_identical;
+          Alcotest.test_case "epoch keys match one-shot API" `Quick epoch_keys_match_one_shot ] );
       ( "repeat",
         [ Alcotest.test_case "full delivery under jamming" `Quick repeat_transport_full_delivery ] );
-      ( "piggybacked",
-        [ Alcotest.test_case "null drains and matches slotted" `Quick
-            pig_null_drains_and_matches_slotted;
-          Alcotest.test_case "real-rounds reduction pinned" `Quick pig_rpe_pinned;
-          Alcotest.test_case "early jamming recovers" `Quick pig_early_jamming_recovers;
-          Alcotest.test_case "crypto modes byte-identical" `Quick
-            pig_crypto_modes_byte_identical;
-          Alcotest.test_case "pool sizes byte-identical" `Quick pig_pool_sizes_byte_identical;
-          Alcotest.test_case "outsiders blocked" `Quick pig_outsiders_blocked;
-          Alcotest.test_case "spec validation" `Quick pig_spec_validation ] ) ]
+      ( "cli", [ Alcotest.test_case "service rejects an invalid spec" `Quick cli_rejects_invalid_spec ] ) ]
