@@ -285,6 +285,7 @@ type stats = {
   mutable bad_frames : int;
   mutable shed : int;
   mutable retransmissions : int;
+  mutable flush_resends : int;
   mutable rekeys : int;
   mutable messages_done : int;
   mutable full_deliveries : int;
@@ -295,7 +296,8 @@ type stats = {
 
 let create_stats () =
   { offered = 0; delivered = 0; acked = 0; duplicates = 0; stale_epoch = 0;
-    out_of_window = 0; bad_frames = 0; shed = 0; retransmissions = 0; rekeys = 0;
+    out_of_window = 0; bad_frames = 0; shed = 0; retransmissions = 0;
+    flush_resends = 0; rekeys = 0;
     messages_done = 0; full_deliveries = 0; forged_accepts = 0;
     plaintext_leaks = 0; snooped = 0 }
 
@@ -356,6 +358,7 @@ type state = {
   (* Bounded per-channel send queues (flat ring buffers). *)
   q_seq : int array;
   q_enq : int array;
+  q_sent : int array;  (* Acked: emulated round the entry was first sent *)
   q_head : int array;
   q_len : int array;
   next_seq : int array;
@@ -391,6 +394,7 @@ let create_state spec =
     heard_multi = Array.make (max 1 multi) [];
     q_seq = Array.make (m * spec.queue_cap) 0;
     q_enq = Array.make (m * spec.queue_cap) 0;
+    q_sent = Array.make (m * spec.queue_cap) 0;
     q_head = Array.make m 0;
     q_len = Array.make m 0;
     next_seq = Array.make m 0;
@@ -479,14 +483,16 @@ let offer_load t ~e =
   done
 
 (* ------------------------------------------------------------------ *)
-(* prepare (Acked transport).                                         *)
+(* prepare (Acked transport).                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Frames a sender may have in the air before its first retire: the ack
-   for round e's frame rides the opposite direction's round e+1 frame and
-   is processed at the start of round e+2, so a window of two keeps the
-   pipeline full at rate 1. *)
-let pig_send_window = 2
+(* The ack for round e's frame rides the opposite direction's round e+1
+   frame and is processed at the start of round e+2. *)
+let ack_delay = 2
+
+(* Frames a sender may have in the air before its first retire: a window
+   of [ack_delay] keeps the pipeline full at rate 1. *)
+let pig_send_window = ack_delay
 
 (* Receiver side: extend the contiguous delivered prefix of channel [c]
    using the replay window's own delivery record. *)
@@ -585,8 +591,16 @@ let build_pig_frames t ~e =
     if t.q_len.(c) > 0 then begin
       let fresh = t.inflight.(c) < t.q_len.(c) && t.inflight.(c) < pig_send_window in
       let slot = q_slot t c (if fresh then t.inflight.(c) else 0) in
-      if fresh then t.inflight.(c) <- t.inflight.(c) + 1
-      else t.st.retransmissions <- t.st.retransmissions + 1;
+      if fresh then begin
+        t.inflight.(c) <- t.inflight.(c) + 1;
+        t.q_sent.(slot) <- e
+      end
+      (* A re-send is a retransmission only once the head's ack is overdue.
+         An earlier one (the flush round re-sending each final head as its
+         ack carrier) is no evidence of loss. *)
+      else if e - t.q_sent.(slot) >= ack_delay then
+        t.st.retransmissions <- t.st.retransmissions + 1
+      else t.st.flush_resends <- t.st.flush_resends + 1;
       add_item items cur (c, Some (t.q_seq.(slot), t.q_enq.(slot)))
     end
     else if t.inflight.(c lxor 1) > 0 && t.cum_delivered.(c lxor 1) >= 0 then
@@ -922,8 +936,9 @@ let render_stats r =
     r.spec.rate r.spec.queue_cap r.spec.window r.spec.epoch_len r.spec.grace
     r.spec.payload r.spec.outsiders r.spec.seed;
   Printf.bprintf b
-    "load offered=%d delivered=%d acked=%d shed=%d retransmissions=%d duplicates=%d\n"
-    s.offered s.delivered s.acked s.shed s.retransmissions s.duplicates;
+    "load offered=%d delivered=%d acked=%d shed=%d retransmissions=%d flush_resends=%d \
+     duplicates=%d\n"
+    s.offered s.delivered s.acked s.shed s.retransmissions s.flush_resends s.duplicates;
   Printf.bprintf b
     "guard stale_epoch=%d out_of_window=%d bad_frames=%d forged_accepts=%d leaks=%d snooped=%d rekeys=%d\n"
     s.stale_epoch s.out_of_window s.bad_frames s.forged_accepts s.plaintext_leaks

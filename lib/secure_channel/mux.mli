@@ -127,6 +127,11 @@ type stats = {
   mutable bad_frames : int;  (** malformed, MAC-rejected, or spliced frames *)
   mutable shed : int;  (** offered messages dropped by backpressure *)
   mutable retransmissions : int;
+      (** Acked: re-sends of a head whose ack is overdue (first sent at
+          least two emulated rounds earlier) — loss-driven *)
+  mutable flush_resends : int;
+      (** Acked: re-sends before the head's ack could have arrived — the
+          flush round re-sending each final head as its ack carrier *)
   mutable rekeys : int;  (** epoch boundaries crossed *)
   mutable messages_done : int;  (** Repeat: heads retired *)
   mutable full_deliveries : int;  (** Repeat: heads heard by every receiver *)
