@@ -456,10 +456,7 @@ let verdict_at t ~now ~frame_epoch =
 let nonce_of ~chan ~seq =
   Int64.logor (Int64.shift_left (Int64.of_int chan) 32) (Int64.of_int seq)
 
-(* ------------------------------------------------------------------ *)
-(* Batch crypto under the cached epoch keys.                           *)
-(* ------------------------------------------------------------------ *)
-
+(* The cipher key of [epoch], through the parity-slot cache. *)
 let epoch_key t epoch =
   let slot = epoch land 1 in
   match t.keys.(slot) with
@@ -468,11 +465,6 @@ let epoch_key t epoch =
     let ck = Cipher.key (epoch_raw t.group_prf ~epoch) in
     t.keys.(slot) <- Some { ek_epoch = epoch; ck };
     ck
-
-let seal_many t ~epoch ~nonces msgs =
-  Cipher.seal_batch (epoch_key t epoch) t.scratch ~nonces msgs
-
-let open_many t ~epoch frames = Cipher.open_batch (epoch_key t epoch) t.scratch frames
 
 let offer_load t ~e =
   for c = 0 to t.sp.logical - 1 do
@@ -570,7 +562,7 @@ let process_heard_pig t ~arrival =
     t.heard_data.(c) <- None
   done;
   drain_items items ~apply:(fun epoch batch ->
-      let opened = open_many t ~epoch (Array.map snd batch) in
+      let opened = Cipher.open_batch (epoch_key t epoch) t.scratch (Array.map snd batch) in
       Array.iteri
         (fun i (c, _) ->
           match opened.(i) with
@@ -626,7 +618,7 @@ let build_pig_frames t ~e =
             | None -> encode_pig_ack ~ack ~chan:c ~epoch ~round:e)
           batch
       in
-      let sealed = seal_many t ~epoch ~nonces payloads in
+      let sealed = Cipher.seal_batch (epoch_key t epoch) t.scratch ~nonces payloads in
       Array.iteri
         (fun i (c, _) -> t.data_blob.(c) <- encode_data ~epoch sealed.(i))
         batch)
@@ -673,7 +665,7 @@ let process_heard_multi t ~arrival ~group =
       (List.rev t.heard_multi.(node))
   done;
   drain_items items ~apply:(fun epoch batch ->
-      let res = open_many t ~epoch (Array.map snd batch) in
+      let res = Cipher.open_batch (epoch_key t epoch) t.scratch (Array.map snd batch) in
       Array.iteri
         (fun i (blob, _) ->
           match res.(i) with
@@ -755,7 +747,7 @@ let build_repeat_frames t ~e ~reps ~group =
               (gen_body ~payload:t.sp.payload ~chan:c ~seq))
           batch
       in
-      let sealed = seal_many t ~epoch ~nonces payloads in
+      let sealed = Cipher.seal_batch (epoch_key t epoch) t.scratch ~nonces payloads in
       Array.iteri
         (fun i (c, _) -> t.data_blob.(c) <- encode_data ~epoch sealed.(i))
         batch);
