@@ -170,6 +170,17 @@ let outsiders_cannot_read_or_forge () =
   check Alcotest.bool "service still works" true
     (r.Mux.stats.Mux.delivered > (r.Mux.stats.Mux.offered * 3) / 4)
 
+(* Outsiders on top of a jammer: retransmitted frames are sealed afresh
+   and still give the outsiders nothing to read or forge. *)
+let pig_outsiders_blocked () =
+  let r = Mux.run (base_spec ~rounds:60 ~outsiders:3 ()) ~adversary:(jammer 5L 2) in
+  check Alcotest.bool "completed" true r.Mux.engine.Radio.Engine.completed;
+  check Alcotest.bool "outsiders overheard traffic" true (r.Mux.stats.Mux.snooped > 0);
+  check Alcotest.bool "jamming forces retransmissions" true
+    (r.Mux.stats.Mux.retransmissions > 0);
+  check Alcotest.int "secrecy: no outsider decryption" 0 r.Mux.stats.Mux.plaintext_leaks;
+  check Alcotest.int "authenticity: no forged accepts" 0 r.Mux.stats.Mux.forged_accepts
+
 let latency_percentiles_sane () =
   let r = Mux.run (base_spec ~rounds:60 ()) ~adversary:(jammer 5L 2) in
   let p50 = Mux.latency_percentile r 0.50 and p99 = Mux.latency_percentile r 0.99 in
@@ -205,13 +216,29 @@ let rpe_pinned () =
   (* Duplex pairing: one node per logical channel. *)
   check Alcotest.int "nodes = logical" 1024 (Mux.node_count big)
 
+(* The flush accounting at a second shape: one flush re-send per logical
+   channel, whatever the channel count, and none of it counted as loss. *)
+let pig_null_flush_per_channel () =
+  let r = Mux.run (base_spec ~logical:48 ~rounds:20 ()) ~adversary:null in
+  let s = r.Mux.stats in
+  check Alcotest.bool "completed" true r.Mux.engine.Radio.Engine.completed;
+  check Alcotest.int "offered = rate * logical * rounds" (48 * 20) s.Mux.offered;
+  check Alcotest.int "fully drained: delivered = offered" s.Mux.offered s.Mux.delivered;
+  check Alcotest.int "fully drained: acked = delivered" s.Mux.delivered s.Mux.acked;
+  check Alcotest.int "no retransmissions" 0 s.Mux.retransmissions;
+  check Alcotest.int "one flush re-send per channel" 48 s.Mux.flush_resends;
+  check Alcotest.int "duplicates are the flush re-sends" s.Mux.flush_resends s.Mux.duplicates
+
 let spec_validation () =
   Alcotest.check_raises "budget >= phys"
     (Invalid_argument "Mux.make: need 0 <= budget < phys") (fun () ->
       ignore (Mux.make ~key ~logical:4 ~phys:4 ~budget:4 ~rounds:10 ()));
   Alcotest.check_raises "grace > epoch_len"
     (Invalid_argument "Mux.make: need 0 <= grace <= epoch_len") (fun () ->
-      ignore (Mux.make ~key ~logical:4 ~phys:4 ~budget:1 ~rounds:10 ~epoch_len:4 ~grace:5 ()));
+      ignore (Mux.make ~key ~logical:4 ~phys:4 ~budget:1 ~rounds:10 ~epoch_len:4 ~grace:5 ()))
+
+(* Duplex pairing needs an even number of logical channels; Repeat does not. *)
+let pig_spec_validation () =
   Alcotest.check_raises "Acked needs even logical"
     (Invalid_argument "Mux.make: Acked transport needs an even number of logical channels")
     (fun () -> ignore (Mux.make ~key ~logical:5 ~phys:4 ~budget:1 ~rounds:10 ()));
@@ -235,6 +262,30 @@ let pool_sizes_byte_identical () =
           check Alcotest.string
             (Printf.sprintf "render_stats identical at %d domains" domains)
             (Mux.render_stats solo) (Mux.render_stats r)))
+    [ 2; 4 ]
+
+(* The retransmission and flush paths under a pool: an early jammer forces
+   re-sends, the quiet tail drains, and the rendering and delivered-output
+   digest do not depend on the domain count. *)
+let pig_pool_sizes_byte_identical () =
+  let run pool =
+    let spec = base_spec ~rounds:30 () in
+    let jam_window = 4 * Mux.real_rounds_per_emulated spec in
+    Mux.run ?pool spec ~adversary:(early_jammer ~real_rounds:jam_window ~budget:2)
+  in
+  let solo = run None in
+  check Alcotest.bool "jamming forces retransmissions" true
+    (solo.Mux.stats.Mux.retransmissions > 0);
+  List.iter
+    (fun domains ->
+      Parallel.Pool.with_pool ~domains (fun pool ->
+          let r = run (Some pool) in
+          check Alcotest.string
+            (Printf.sprintf "render_stats identical at %d domains" domains)
+            (Mux.render_stats solo) (Mux.render_stats r);
+          check Alcotest.string
+            (Printf.sprintf "output digest identical at %d domains" domains)
+            (Mux.output_digest solo) (Mux.output_digest r)))
     [ 2; 4 ]
 
 (* Every honest frame on the air, checked against the naive one-shot API:
@@ -339,9 +390,15 @@ let () =
           Alcotest.test_case "backpressure sheds" `Quick backpressure_sheds;
           Alcotest.test_case "outsiders blocked" `Quick outsiders_cannot_read_or_forge;
           Alcotest.test_case "latency sane" `Quick latency_percentiles_sane;
-          Alcotest.test_case "spec validation" `Quick spec_validation;
+          Alcotest.test_case "spec validation" `Quick spec_validation ] );
+      ( "piggybacked",
+        [ Alcotest.test_case "null drains, one flush per channel" `Quick
+            pig_null_flush_per_channel;
+          Alcotest.test_case "real-rounds reduction pinned" `Quick rpe_pinned;
           Alcotest.test_case "early jamming recovers" `Quick early_jamming_recovers;
-          Alcotest.test_case "real-rounds reduction pinned" `Quick rpe_pinned ] );
+          Alcotest.test_case "pool sizes byte-identical" `Quick pig_pool_sizes_byte_identical;
+          Alcotest.test_case "outsiders blocked" `Quick pig_outsiders_blocked;
+          Alcotest.test_case "spec validation" `Quick pig_spec_validation ] );
       ( "determinism",
         [ Alcotest.test_case "pool sizes byte-identical" `Quick pool_sizes_byte_identical;
           Alcotest.test_case "epoch keys match one-shot API" `Quick epoch_keys_match_one_shot ] );
