@@ -1,16 +1,18 @@
 (* Multiplexed secure-channel service (ROADMAP item 2).
 
-   Thousands of logical channels share one simulated radio network.  All
-   protocol intelligence is central: once per emulated round, the first
-   fiber resumed runs [prepare], which processes everything heard in the
-   previous emulated round, runs the epoch / replay-window / backpressure
-   state machines, and batch-seals every frame the round will transmit.
-   Node fibers are thin actors — they read their slot plan from the shared
-   state and move bytes.  Fibers resume strictly sequentially in node-id
-   order within the engine's domain (the determinism contract; harvest
-   sharding only ever reads engine-internal arrays), so the central mutable
-   state needs no synchronization, and the batch crypto amortizes key
-   schedules and scratch buffers across every frame of the round.
+   Thousands of logical channels share one simulated radio network.  Once
+   per emulated round, the first fiber resumed runs [prepare]: it processes
+   everything heard in the previous emulated round, runs the epoch /
+   replay-window / backpressure state machines, and seals every frame the
+   round will transmit.  Node fibers are thin actors — they read their slot
+   plan from the shared state and move bytes.  [prepare] has two phases.
+   The shard phase does the per-frame work that reads no mutable protocol
+   state (build and seal; decode, judge the epoch, open, parse, check for
+   forgery) over contiguous channel ranges, one per domain of the run's
+   pool ([fan_out]).  The serial state phase applies the results in
+   channel order: queues, acks, windows, latency and every counter.  Fibers
+   resume in node-id order within the engine's domain, so that state needs
+   no synchronization, and the output is the same for every pool size.
 
    Emulated-round layout (Acked transport): S data slots and a sync round —
    S+1 real rounds, S = max(ceil(logical / phys), 2).  Channels pair as
@@ -91,8 +93,6 @@ let epoch_of ~epoch_len ~now = now / epoch_len
    [Prf.bytes ~key ~label:"mux-epoch" ~counter:epoch]. *)
 let epoch_raw group_prf ~epoch =
   Prf.Keyed.bytes group_prf ~label:"mux-epoch" ~counter:epoch
-
-type epoch_key = { ek_epoch : int; ck : Cipher.key }
 
 (* ------------------------------------------------------------------ *)
 (* Wire formats.                                                       *)
@@ -200,6 +200,8 @@ let gen_body ~payload ~chan ~seq =
   let b = String.length base in
   if b >= payload then String.sub base 0 payload
   else base ^ String.make (payload - b) 'x'
+
+let forged ~payload ~chan ~seq body = not (String.equal body (gen_body ~payload ~chan ~seq))
 
 (* ------------------------------------------------------------------ *)
 (* Specification.                                                      *)
@@ -340,18 +342,21 @@ type state = {
   sp : spec;
   s : int;  (* slots per phase *)
   rpe : int;  (* real rounds per emulated round *)
+  pool : Parallel.Pool.t option;  (* shards a large round's seal and open work *)
   hop_prf : Prf.Keyed.t;
   group_prf : Prf.Keyed.t;
   (* Epoch cipher keys cached by epoch parity: exactly the current and
      previous epoch are ever decodable, so the two slots never thrash. *)
-  keys : epoch_key option array;
-  scratch : Cipher.scratch;
+  keys : (int * Cipher.key) option array;
   st : stats;
   lat : int array;
   mutable prepared : int;  (* last round [prepare] ran for; -1 before start *)
   (* The round plan fibers execute, per logical channel. *)
-  data_blob : string array;  (* "" = nothing to send *)
+  mutable data_blob : string array;  (* "" = nothing to send *)
   data_chan : int array;
+  (* Acked: what channel c seals this round — a queue slot, or one of
+     [no_frame] / [ack_frame]. *)
+  plan : int array;
   (* What fibers heard last emulated round (stored at resume time). *)
   heard_data : Radio.Frame.t option array;  (* Acked: receiver of channel c *)
   heard_multi : string list array;  (* Repeat: per node, reverse arrival order *)
@@ -373,7 +378,7 @@ type state = {
   r_chans : int array;  (* logical * reps hop assignments for this round *)
 }
 
-let create_state spec =
+let create_state ~pool spec =
   let m = spec.logical in
   let nodes = node_count spec in
   let multi = match spec.transport with Acked -> 0 | Repeat _ -> nodes in
@@ -381,15 +386,16 @@ let create_state spec =
   { sp = spec;
     s = slots spec;
     rpe = real_rounds_per_emulated spec;
+    pool;
     hop_prf = Prf.Keyed.create (Sha256.digest ("mux-hop|" ^ spec.key));
     group_prf = Prf.Keyed.create spec.key;
     keys = [| None; None |];
-    scratch = Cipher.scratch ();
     st = create_stats ();
     lat = Array.make lat_buckets 0;
     prepared = -1;
     data_blob = Array.make m "";
     data_chan = Array.make m 0;
+    plan = Array.make m 0;
     heard_data = Array.make m None;
     heard_multi = Array.make (max 1 multi) [];
     q_seq = Array.make (m * spec.queue_cap) 0;
@@ -432,27 +438,6 @@ let q_pop t c =
 let head_seq t c = t.q_seq.(q_slot t c 0)
 let head_enq t c = t.q_enq.(q_slot t c 0)
 
-(* Epoch-batched accumulation: collect items per distinct epoch (at most
-   two epochs are ever decodable), then drain each group through a single
-   batch call.  Items within a group keep collection order; groups drain
-   in first-seen order — all deterministic. *)
-let add_item items epoch v =
-  match !items with
-  | (e0, l0) :: rest when e0 = epoch -> items := (e0, v :: l0) :: rest
-  | l -> (
-    match List.assoc_opt epoch l with
-    | Some prev ->
-      items := (epoch, v :: prev) :: List.filter (fun (e, _) -> e <> epoch) l
-    | None -> items := (epoch, [ v ]) :: l)
-
-let drain_items items ~apply =
-  List.iter
-    (fun (epoch, rev_list) -> apply epoch (Array.of_list (List.rev rev_list)))
-    (List.rev !items)
-
-let verdict_at t ~now ~frame_epoch =
-  epoch_verdict ~epoch_len:t.sp.epoch_len ~grace:t.sp.grace ~now ~frame_epoch
-
 let nonce_of ~chan ~seq =
   Int64.logor (Int64.shift_left (Int64.of_int chan) 32) (Int64.of_int seq)
 
@@ -460,10 +445,10 @@ let nonce_of ~chan ~seq =
 let epoch_key t epoch =
   let slot = epoch land 1 in
   match t.keys.(slot) with
-  | Some k when k.ek_epoch = epoch -> k.ck
+  | Some (e, ck) when e = epoch -> ck
   | Some _ | None ->
     let ck = Cipher.key (epoch_raw t.group_prf ~epoch) in
-    t.keys.(slot) <- Some { ek_epoch = epoch; ck };
+    t.keys.(slot) <- Some (epoch, ck);
     ck
 
 let offer_load t ~e =
@@ -475,16 +460,76 @@ let offer_load t ~e =
   done
 
 (* ------------------------------------------------------------------ *)
+(* The shard phase.                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let shard_min_frames = 512
+
+(* [Array.init n (f scratch)] over [n] frame slots (channels, or distinct
+   heard blobs), cut into 8 contiguous shards per pool domain, each with
+   its own cipher scratch; inline without a multi-domain pool or below
+   [shard_min_frames] slots.  Domains take shards from the pool's queue,
+   so one slowed by a busy core takes fewer.  [f] only reads the state,
+   which nothing writes until every shard has joined. *)
+let fan_out t n f =
+  let shard (lo, hi) =
+    let scr = Cipher.scratch () in
+    Array.init (hi - lo) (fun i -> f scr (lo + i))
+  in
+  match t.pool with
+  | Some pool when n >= shard_min_frames && Parallel.Pool.size pool > 1 ->
+    let k = 8 * Parallel.Pool.size pool in
+    List.init k (fun i -> (i * n / k, (i + 1) * n / k))
+    |> Parallel.Pool.map_ordered pool shard
+    |> Array.concat
+  | Some _ | None -> shard (0, n)
+
+(* A heard frame up to its payload: the clear epoch header picks the key —
+   [cur], or [prev] within grace — and the frame is opened under it. *)
+type opened = Bad_frame | Stale_frame | Opened of string
+
+let open_blob t ~cur ~prev scr ~now blob =
+  match decode_data blob with
+  | None -> Bad_frame
+  | Some (frame_epoch, sealed) -> (
+    let open_under key =
+      match Cipher.open_scratch key scr sealed with
+      | Some payload -> Opened payload
+      | None -> Bad_frame
+    in
+    match epoch_verdict ~epoch_len:t.sp.epoch_len ~grace:t.sp.grace ~now ~frame_epoch with
+    | Current -> open_under cur
+    | Previous -> open_under prev
+    | Stale -> Stale_frame)
+
+(* [open_blob]'s keys for round [arrival], derived before the fan-out;
+   outside the grace window no frame is [Previous] and [prev] is unread. *)
+let arrival_keys t ~arrival =
+  let cur = epoch_of ~epoch_len:t.sp.epoch_len ~now:arrival in
+  let ck = epoch_key t cur and grace = arrival mod t.sp.epoch_len < t.sp.grace in
+  (ck, if cur > 0 && grace then epoch_key t (cur - 1) else ck)
+
+(* One authenticated frame bound to its channel meets receiver window [w]. *)
+let deliver t w ~arrival ~seq ~enq ~forged =
+  match Window.check w seq with
+  | Window.Duplicate -> t.st.duplicates <- t.st.duplicates + 1
+  | Window.Out_of_window -> t.st.out_of_window <- t.st.out_of_window + 1
+  | Window.Fresh ->
+    Window.note w seq;
+    t.st.delivered <- t.st.delivered + 1;
+    note_latency t (arrival - enq);
+    if forged then t.st.forged_accepts <- t.st.forged_accepts + 1
+
+(* ------------------------------------------------------------------ *)
 (* prepare (Acked transport).                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* The ack for round e's frame rides the opposite direction's round e+1
-   frame and is processed at the start of round e+2. *)
+   frame and is processed at the start of round e+2.  It is also the send
+   window: frames a sender may have in the air before its first retire. *)
 let ack_delay = 2
 
-(* Frames a sender may have in the air before its first retire: a window
-   of [ack_delay] keeps the pipeline full at rate 1. *)
-let pig_send_window = ack_delay
+let no_frame = -1 and ack_frame = -2 (* [plan] entries that are not queue slots *)
 
 (* Receiver side: extend the contiguous delivered prefix of channel [c]
    using the replay window's own delivery record. *)
@@ -503,85 +548,70 @@ let apply_cum_ack t c ~ack =
     t.st.acked <- t.st.acked + 1
   done
 
-(* One successfully opened data payload for channel [c], received in
-   emulated round [arrival], already parsed into its fields. *)
-let deliver_parsed t c ~arrival ~chan:c' ~seq ~enq ~body =
-  if c' <> c then
-    (* Valid MAC under the shared epoch key, but bound to another logical
-       channel: a splice attempt, not a delivery. *)
-    t.st.bad_frames <- t.st.bad_frames + 1
-  else begin
-    match Window.check t.windows.(c) seq with
-    | Window.Duplicate -> t.st.duplicates <- t.st.duplicates + 1
-    | Window.Out_of_window -> t.st.out_of_window <- t.st.out_of_window + 1
-    | Window.Fresh ->
-      Window.note t.windows.(c) seq;
-      t.st.delivered <- t.st.delivered + 1;
-      note_latency t (arrival - enq);
-      if not (String.equal body (gen_body ~payload:t.sp.payload ~chan:c ~seq)) then
-        t.st.forged_accepts <- t.st.forged_accepts + 1
-  end
+(* What channel [c]'s receiver made of last round's frame. *)
+type pig_heard =
+  | Unheard
+  | Pig_bad
+  | Pig_stale
+  | Pig_ack of { ack : int; spliced : bool }
+      (* a bare ack carrier, or a splice attempt: a data frame with a valid
+         MAC under the shared epoch key but bound to another channel *)
+  | Pig_data of { ack : int; seq : int; enq : int; forged : bool }
 
-(* One opened payload heard on channel [c]: fold the carried ack into the
-   opposite direction's queue, then (for data frames) run the delivery
-   judgement and advance the cumulative prefix. *)
-let deliver_pig_payload t c ~arrival payload =
-  let len = String.length payload in
-  if len < 16 then t.st.bad_frames <- t.st.bad_frames + 1
-  else begin
-    let word = read_u32 payload 0 in
-    let ack = (word land lnot pig_ack_flag) - 1 in
-    if word land pig_ack_flag <> 0 then begin
-      (* Bare ack carrier: fixed size, bound to its own channel. *)
-      if len <> 16 || read_u32 payload 4 <> c then
-        t.st.bad_frames <- t.st.bad_frames + 1
-      else apply_cum_ack t (c lxor 1) ~ack
-    end
-    else begin
-      apply_cum_ack t (c lxor 1) ~ack;
-      let chan = read_u32 payload 4 and seq = read_u32 payload 8 and enq = read_u32 payload 12 in
-      let body = String.sub payload 16 (len - 16) in
-      deliver_parsed t c ~arrival ~chan ~seq ~enq ~body;
-      advance_cum t c
-    end
-  end
+let judge_pig t ~cur ~prev ~arrival scr c =
+  match t.heard_data.(c) with
+  | None -> Unheard
+  | Some (Radio.Frame.Sealed blob) -> (
+    match open_blob t ~cur ~prev scr ~now:arrival blob with
+    | Bad_frame -> Pig_bad
+    | Stale_frame -> Pig_stale
+    | Opened p when String.length p < 16 -> Pig_bad
+    | Opened p ->
+      let len = String.length p and word = read_u32 p 0 in
+      let ack = (word land lnot pig_ack_flag) - 1 in
+      if word land pig_ack_flag <> 0 then
+        (* Bare ack carrier: fixed size, bound to its own channel. *)
+        if len <> 16 || read_u32 p 4 <> c then Pig_bad else Pig_ack { ack; spliced = false }
+      else if read_u32 p 4 <> c then Pig_ack { ack; spliced = true }
+      else begin
+        let seq = read_u32 p 8 in
+        let forged = forged ~payload:t.sp.payload ~chan:c ~seq (String.sub p 16 (len - 16)) in
+        Pig_data { ack; seq; enq = read_u32 p 12; forged }
+      end)
+  | Some _ -> Pig_bad
+
+(* The serial state phase: fold the carried ack into the opposite
+   direction's queue, then run the delivery judgement and advance the
+   cumulative prefix. *)
+let apply_pig t ~arrival c = function
+  | Unheard -> ()
+  | Pig_bad -> t.st.bad_frames <- t.st.bad_frames + 1
+  | Pig_stale -> t.st.stale_epoch <- t.st.stale_epoch + 1
+  | Pig_ack { ack; spliced } ->
+    apply_cum_ack t (c lxor 1) ~ack;
+    if spliced then t.st.bad_frames <- t.st.bad_frames + 1
+  | Pig_data { ack; seq; enq; forged } ->
+    apply_cum_ack t (c lxor 1) ~ack;
+    deliver t t.windows.(c) ~arrival ~seq ~enq ~forged;
+    advance_cum t c
 
 let process_heard_pig t ~arrival =
-  let items = ref [] in
-  for c = 0 to t.sp.logical - 1 do
-    (match t.heard_data.(c) with
-    | None -> ()
-    | Some (Radio.Frame.Sealed blob) -> (
-      match decode_data blob with
-      | None -> t.st.bad_frames <- t.st.bad_frames + 1
-      | Some (frame_epoch, sealed) -> (
-        match verdict_at t ~now:arrival ~frame_epoch with
-        | Stale -> t.st.stale_epoch <- t.st.stale_epoch + 1
-        | Current | Previous -> add_item items frame_epoch (c, sealed)))
-    | Some _ -> t.st.bad_frames <- t.st.bad_frames + 1);
-    t.heard_data.(c) <- None
-  done;
-  drain_items items ~apply:(fun epoch batch ->
-      let opened = Cipher.open_batch (epoch_key t epoch) t.scratch (Array.map snd batch) in
-      Array.iteri
-        (fun i (c, _) ->
-          match opened.(i) with
-          | None -> t.st.bad_frames <- t.st.bad_frames + 1
-          | Some payload -> deliver_pig_payload t c ~arrival payload)
-        batch)
+  let cur, prev = arrival_keys t ~arrival in
+  fan_out t t.sp.logical (judge_pig t ~cur ~prev ~arrival)
+  |> Array.iteri (apply_pig t ~arrival);
+  Array.fill t.heard_data 0 t.sp.logical None
 
-(* Build this round's frame per channel: the next unsent queue entry while
+(* Plan this round's frame per channel: the next unsent queue entry while
    the send window has room, the unacknowledged head otherwise, or a bare
    ack carrier when the queue is empty but the partner still has frames in
-   flight.  Every frame folds in the current cumulative ack, so frames are
-   re-sealed each round under a (channel, round)-keyed nonce. *)
+   flight.  Every frame folds in the current cumulative ack, so the shards
+   re-seal frames each round under a (channel, round)-keyed nonce. *)
 let build_pig_frames t ~e =
-  let cur = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
-  let items = ref [] in
+  let epoch = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
   for c = 0 to t.sp.logical - 1 do
-    t.data_blob.(c) <- "";
+    t.plan.(c) <- no_frame;
     if t.q_len.(c) > 0 then begin
-      let fresh = t.inflight.(c) < t.q_len.(c) && t.inflight.(c) < pig_send_window in
+      let fresh = t.inflight.(c) < t.q_len.(c) && t.inflight.(c) < ack_delay in
       let slot = q_slot t c (if fresh then t.inflight.(c) else 0) in
       if fresh then begin
         t.inflight.(c) <- t.inflight.(c) + 1;
@@ -593,35 +623,28 @@ let build_pig_frames t ~e =
       else if e - t.q_sent.(slot) >= ack_delay then
         t.st.retransmissions <- t.st.retransmissions + 1
       else t.st.flush_resends <- t.st.flush_resends + 1;
-      add_item items cur (c, Some (t.q_seq.(slot), t.q_enq.(slot)))
+      t.plan.(c) <- slot
     end
     else if t.inflight.(c lxor 1) > 0 && t.cum_delivered.(c lxor 1) >= 0 then
-      add_item items cur (c, None)
+      t.plan.(c) <- ack_frame
   done;
-  drain_items items ~apply:(fun epoch batch ->
-      let nonces =
-        Array.map
-          (fun (c, k) ->
-            match k with
-            | Some _ -> pig_nonce ~tag:61 ~chan:c ~round:e
-            | None -> pig_nonce ~tag:62 ~chan:c ~round:e)
-          batch
-      in
-      let payloads =
-        Array.map
-          (fun (c, k) ->
-            let ack = t.cum_delivered.(c lxor 1) in
-            match k with
-            | Some (seq, enq) ->
-              encode_pig_data ~ack ~chan:c ~seq ~enq
-                (gen_body ~payload:t.sp.payload ~chan:c ~seq)
-            | None -> encode_pig_ack ~ack ~chan:c ~epoch ~round:e)
-          batch
-      in
-      let sealed = Cipher.seal_batch (epoch_key t epoch) t.scratch ~nonces payloads in
-      Array.iteri
-        (fun i (c, _) -> t.data_blob.(c) <- encode_data ~epoch sealed.(i))
-        batch)
+  let key = epoch_key t epoch in
+  t.data_blob <-
+    fan_out t t.sp.logical (fun scr c ->
+        let slot = t.plan.(c) and ack = t.cum_delivered.(c lxor 1) in
+        let seal ~tag payload =
+          encode_data ~epoch
+            (Cipher.seal_scratch key scr ~nonce:(pig_nonce ~tag ~chan:c ~round:e) payload)
+        in
+        if slot = no_frame then ""
+        else if slot = ack_frame then
+          seal ~tag:62 (encode_pig_ack ~ack ~chan:c ~epoch ~round:e)
+        else begin
+          let seq = t.q_seq.(slot) in
+          seal ~tag:61
+            (encode_pig_data ~ack ~chan:c ~seq ~enq:t.q_enq.(slot)
+               (gen_body ~payload:t.sp.payload ~chan:c ~seq))
+        end)
 
 (* PRF-keyed slot rotation: every channel of slot s lands on a distinct
    physical channel, and the whole slot's placement is unpredictable.  The
@@ -644,34 +667,33 @@ let assign_channels t ~e =
 (* ------------------------------------------------------------------ *)
 
 let process_heard_multi t ~arrival ~group =
-  (* Collect the distinct sealed blobs heard across all members, batch-open
-     them once per epoch, then judge each member's arrival list against the
-     opened table.  The table is lookup-only, so the Hashtbl introduces no
-     iteration-order nondeterminism. *)
-  let opened : (string, string option) Hashtbl.t = Hashtbl.create 64 in
-  let items = ref [] in
+  (* Index the distinct sealed blobs heard across all members in
+     first-heard order, open each once in the shard phase, then judge every
+     member's arrival list against the results.  The index is lookup-only,
+     so the Hashtbl introduces no iteration-order nondeterminism. *)
+  let index : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let distinct = ref [] in
   for node = 0 to (t.sp.logical * group) - 1 do
     List.iter
       (fun blob ->
-        if not (Hashtbl.mem opened blob) then begin
-          Hashtbl.add opened blob None;
-          match decode_data blob with
-          | None -> t.st.bad_frames <- t.st.bad_frames + 1
-          | Some (frame_epoch, sealed) -> (
-            match verdict_at t ~now:arrival ~frame_epoch with
-            | Stale -> t.st.stale_epoch <- t.st.stale_epoch + 1
-            | Current | Previous -> add_item items frame_epoch (blob, sealed))
+        if not (Hashtbl.mem index blob) then begin
+          Hashtbl.add index blob (Hashtbl.length index);
+          distinct := blob :: !distinct
         end)
       (List.rev t.heard_multi.(node))
   done;
-  drain_items items ~apply:(fun epoch batch ->
-      let res = Cipher.open_batch (epoch_key t epoch) t.scratch (Array.map snd batch) in
-      Array.iteri
-        (fun i (blob, _) ->
-          match res.(i) with
-          | None -> t.st.bad_frames <- t.st.bad_frames + 1
-          | Some _ -> Hashtbl.replace opened blob res.(i))
-        batch);
+  let distinct = Array.of_list (List.rev !distinct) in
+  let cur, prev = arrival_keys t ~arrival in
+  let opened =
+    fan_out t (Array.length distinct) (fun scr i ->
+        open_blob t ~cur ~prev scr ~now:arrival distinct.(i))
+  in
+  Array.iter
+    (function
+      | Bad_frame -> t.st.bad_frames <- t.st.bad_frames + 1
+      | Stale_frame -> t.st.stale_epoch <- t.st.stale_epoch + 1
+      | Opened _ -> ())
+    opened;
   (* Per-node delivery, then per-channel head accounting: the head was
      repeated [reps] times in round [arrival] and is now retired — either
      every receiver has it (a full delivery) or the adversary won the round
@@ -683,35 +705,23 @@ let process_heard_multi t ~arrival ~group =
       for m = 0 to group - 1 do
         let node = (c * group) + m in
         if m <> t.r_sender.(c) then begin
-          let got = ref false in
-          List.iter
-            (fun blob ->
-              if not !got then
-                match Hashtbl.find_opt opened blob with
-                | Some (Some payload) -> (
-                  match decode_payload payload with
-                  | Some (c', seq', _, enq', body) when c' = c -> (
-                    got := true;
-                    match Window.check t.r_windows.(node) seq' with
-                    | Window.Duplicate -> t.st.duplicates <- t.st.duplicates + 1
-                    | Window.Out_of_window ->
-                      t.st.out_of_window <- t.st.out_of_window + 1
-                    | Window.Fresh ->
-                      Window.note t.r_windows.(node) seq';
-                      t.st.delivered <- t.st.delivered + 1;
-                      note_latency t (arrival - enq');
-                      if
-                        not
-                          (String.equal body
-                             (gen_body ~payload:t.sp.payload ~chan:c ~seq:seq'))
-                      then t.st.forged_accepts <- t.st.forged_accepts + 1)
-                  | Some _ | None -> ())
-                | Some None | None -> ())
-            (List.rev t.heard_multi.(node));
-          if !got then
-            match Window.check t.r_windows.(node) seq with
-            | Window.Duplicate -> incr hits (* the head is in this node's window *)
-            | Window.Fresh | Window.Out_of_window -> ()
+          (* The member's first heard frame that opened and is bound to c. *)
+          let bound blob =
+            match Option.map (Array.get opened) (Hashtbl.find_opt index blob) with
+            | Some (Opened payload) -> (
+              match decode_payload payload with
+              | Some (c', seq', _, enq, body) when c' = c -> Some (seq', enq, body)
+              | Some _ | None -> None)
+            | Some (Bad_frame | Stale_frame) | None -> None
+          in
+          match List.find_map bound (List.rev t.heard_multi.(node)) with
+          | None -> ()
+          | Some (seq', enq, body) ->
+            let w = t.r_windows.(node) in
+            deliver t w ~arrival ~seq:seq' ~enq
+              ~forged:(forged ~payload:t.sp.payload ~chan:c ~seq:seq' body);
+            (* the head is in this node's window *)
+            if Window.check w seq = Window.Duplicate then incr hits
         end
       done;
       if !hits = group - 1 then t.st.full_deliveries <- t.st.full_deliveries + 1;
@@ -719,38 +729,25 @@ let process_heard_multi t ~arrival ~group =
       q_pop t c
     end
   done;
-  for node = 0 to (t.sp.logical * group) - 1 do
-    t.heard_multi.(node) <- []
-  done
+  Array.fill t.heard_multi 0 (Array.length t.heard_multi) []
 
 let build_repeat_frames t ~e ~reps ~group =
-  let cur = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
-  let items = ref [] in
+  let epoch = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
   for c = 0 to t.sp.logical - 1 do
-    if t.q_len.(c) = 0 then begin
-      t.data_blob.(c) <- "";
-      t.sent_once.(c) <- false
-    end
-    else begin
-      let seq = head_seq t c in
-      add_item items cur (c, seq);
-      t.r_sender.(c) <- seq mod group;
-      t.sent_once.(c) <- true
-    end
+    t.sent_once.(c) <- t.q_len.(c) > 0;
+    if t.sent_once.(c) then t.r_sender.(c) <- head_seq t c mod group
   done;
-  drain_items items ~apply:(fun epoch batch ->
-      let nonces = Array.map (fun (c, seq) -> nonce_of ~chan:c ~seq) batch in
-      let payloads =
-        Array.map
-          (fun (c, seq) ->
-            encode_payload ~chan:c ~seq ~epoch ~enq:(head_enq t c)
-              (gen_body ~payload:t.sp.payload ~chan:c ~seq))
-          batch
-      in
-      let sealed = Cipher.seal_batch (epoch_key t epoch) t.scratch ~nonces payloads in
-      Array.iteri
-        (fun i (c, _) -> t.data_blob.(c) <- encode_data ~epoch sealed.(i))
-        batch);
+  let key = epoch_key t epoch in
+  t.data_blob <-
+    fan_out t t.sp.logical (fun scr c ->
+        if not t.sent_once.(c) then ""
+        else begin
+          let seq = head_seq t c in
+          encode_data ~epoch
+            (Cipher.seal_scratch key scr ~nonce:(nonce_of ~chan:c ~seq)
+               (encode_payload ~chan:c ~seq ~epoch ~enq:(head_enq t c)
+                  (gen_body ~payload:t.sp.payload ~chan:c ~seq)))
+        end);
   for c = 0 to t.sp.logical - 1 do
     for j = 0 to reps - 1 do
       t.r_chans.((c * reps) + j) <-
@@ -881,7 +878,8 @@ let outsider_body t (ctx : Radio.Engine.ctx) =
   done
 
 let run ?pool spec ~adversary =
-  let t = create_state spec in
+  let pool = match pool with Some _ -> pool | None -> Parallel.ambient_pool () in
+  let t = create_state ~pool spec in
   let n = node_count spec in
   (* The Acked transport runs one extra (flush) emulated round. *)
   let emulated = spec.rounds + (match spec.transport with Acked -> 1 | Repeat _ -> 0) in

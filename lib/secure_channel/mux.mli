@@ -8,10 +8,17 @@
     honoured only during a [grace] window; bounded per-channel send queues
     shed load when the radio cannot keep up.
 
-    All protocol work is centralized in a once-per-emulated-round prepare
-    step that batch-seals and batch-opens every frame of the round through
-    the {!Crypto.Cipher} batch entry points, under epoch keys cached for
-    the current and previous epoch. *)
+    The protocol work runs in a once-per-emulated-round prepare step with
+    two phases.  The shard phase does the per-frame work that reads no
+    mutable protocol state: building and sealing this round's frames, and
+    decoding, epoch-judging, opening and parsing last round's, each frame
+    under the key its epoch header selects (the current or, within grace,
+    the previous epoch's, derived beforehand).  It runs over contiguous
+    channel ranges, one per domain of the run's pool, each with its own
+    {!Crypto.Cipher.scratch}; below {!shard_min_frames} it runs inline.
+    The serial state phase then applies the per-channel results in
+    channel order — queues, acks, replay windows, latency and every
+    counter — so the output is byte-identical for every pool size. *)
 
 (** Pure sliding replay window over per-channel sequence numbers.  Exposed
     for property tests. *)
@@ -154,10 +161,20 @@ type result = {
 val latency_percentile : result -> float -> int
 (** [latency_percentile r 0.99]: delivery latency in emulated rounds. *)
 
+val shard_min_frames : int
+(** 512.  A round's seal or open work fans out across the run's pool only
+    over at least this many frame slots (channels, or distinct frames heard
+    on the Repeat transport); smaller rounds, such as the 64- and
+    256-channel quick bench cells, run inline.  Measured on a 2-vCPU host
+    (Acked, 24 emulated rounds, a 2-domain pool, medians of 10 alternating
+    runs), sharded over inline: 0.96× at 64 and 128 channels, 1.04× at
+    256, 1.54× at 512, 1.80× at 1024, 1.52× at 4096. *)
+
 val run : ?pool:Parallel.Pool.t -> spec -> adversary:Radio.Adversary.t -> result
-(** Run the workload on the sparse engine (channel-usage tracking on).
-    Deterministic in [spec]: byte-identical stats and {!render_stats} for
-    every pool size. *)
+(** Run the workload on the sparse engine (channel-usage tracking on).  The
+    pool — [?pool], else {!Parallel.ambient_pool} — shards both the engine's
+    harvest and the prepare step's seal/open work.  Deterministic in
+    [spec]: byte-identical stats and {!render_stats} for every pool size. *)
 
 val render_stats : result -> string
 (** Canonical multi-line rendering of everything observable about the run;

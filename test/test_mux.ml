@@ -288,6 +288,107 @@ let pig_pool_sizes_byte_identical () =
             (Mux.output_digest solo) (Mux.output_digest r)))
     [ 2; 4 ]
 
+(* ------------------------------------------------------------------ *)
+(* The sharded prepare step.                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Runs [spec] with no pool and with pools of 1, 2 and 4 domains (a fresh
+   adversary each time): the rendering and the output digest must not
+   depend on whether, or how widely, the round's seal/open work fanned out.
+   Returns the pool-less run. *)
+let sharded_identical spec ~adversary =
+  check Alcotest.bool "enough channels to shard" true
+    (spec.Mux.logical >= Mux.shard_min_frames);
+  let solo = Mux.run spec ~adversary:(adversary ()) in
+  List.iter
+    (fun domains ->
+      Parallel.Pool.with_pool ~domains (fun pool ->
+          let r = Mux.run ~pool spec ~adversary:(adversary ()) in
+          check Alcotest.string
+            (Printf.sprintf "render_stats identical at %d domains" domains)
+            (Mux.render_stats solo) (Mux.render_stats r);
+          check Alcotest.string
+            (Printf.sprintf "output digest identical at %d domains" domains)
+            (Mux.output_digest solo) (Mux.output_digest r)))
+    [ 1; 2; 4 ];
+  solo
+
+(* Jamming losses, retransmissions, shedding and outsider snooping, with
+   every round's frames sealed and opened in shards. *)
+let sharded_acked_jammed () =
+  let spec =
+    Mux.make ~key ~logical:1024 ~phys:16 ~budget:4 ~rounds:8 ~queue_cap:4 ~outsiders:8
+      ~seed:5L ()
+  in
+  let adversary () =
+    Radio.Adversary.random_jammer (Prng.Rng.create 21L) ~channels:16 ~budget:4
+  in
+  let s = (sharded_identical spec ~adversary).Mux.stats in
+  check Alcotest.bool "retransmissions" true (s.Mux.retransmissions > 0);
+  check Alcotest.bool "duplicates" true (s.Mux.duplicates > 0);
+  check Alcotest.bool "snooped" true (s.Mux.snooped > 0);
+  check Alcotest.int "no forged accepts" 0 s.Mux.forged_accepts;
+  check Alcotest.int "no leaks" 0 s.Mux.plaintext_leaks
+
+let u32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xFF))
+
+(* An insider holding the group key.  At rate 0 no honest frame is ever
+   sent and every receiver listens, so its spoofs land.  It recomputes the
+   slot rotation to bind each frame to the channel whose receiver hears it,
+   and cycles through sealing under the current epoch's key, the previous
+   epoch's (honoured only within grace), the one before (stale), a wrong key
+   (bad MAC) and garbage.  Frames of several epochs are thus judged, and
+   opened under per-frame keys, in one round. *)
+let insider spec =
+  let phys = spec.Mux.phys and epoch_len = spec.Mux.epoch_len in
+  let rpe = Mux.real_rounds_per_emulated spec in
+  let s = rpe - 1 in
+  let hop = Crypto.Prf.Keyed.create (Crypto.Sha256.digest ("mux-hop|" ^ key)) in
+  let epoch_key e = Crypto.Cipher.key (Crypto.Prf.bytes ~key ~label:"mux-epoch" ~counter:e) in
+  let forge ~round chan =
+    let e = round / rpe and slot = round mod rpe in
+    let off =
+      Crypto.Prf.Keyed.below hop ~label:"mux-hop-data" ~counter:((e * s) + (slot mod s)) phys
+    in
+    let c = (slot mod s) + (s * ((chan - off + phys) mod phys)) in
+    let kind = (round + chan) mod 5 in
+    let epoch = max 0 ((e / epoch_len) - match kind with 1 -> 1 | 2 -> 2 | _ -> 0) in
+    let ck = if kind = 3 then Crypto.Cipher.key "not-the-group-key" else epoch_key epoch in
+    let base = Printf.sprintf "m|%d|%d|" c round in
+    let body = base ^ String.make (16 - String.length base) 'x' in
+    let payload = u32 0 ^ u32 c ^ u32 round ^ u32 e ^ body in
+    let sealed = Crypto.Cipher.seal_keyed ck ~nonce:(Int64.of_int round) payload in
+    Radio.Frame.Sealed
+      (if kind = 4 then "garbage" else u32 epoch ^ Crypto.Cipher.encode sealed)
+  in
+  Radio.Adversary.spoofer (Prng.Rng.create 8L) ~channels:phys ~budget:spec.Mux.budget ~forge
+
+let sharded_acked_epoch_overlap () =
+  let spec =
+    Mux.make ~key ~logical:1024 ~phys:16 ~budget:8 ~rounds:10 ~rate:0 ~epoch_len:2 ~grace:1
+      ~seed:6L ()
+  in
+  let s = (sharded_identical spec ~adversary:(fun () -> insider spec)).Mux.stats in
+  check Alcotest.bool "genuine spoofs delivered" true (s.Mux.delivered > 0);
+  check Alcotest.bool "stale epochs rejected" true (s.Mux.stale_epoch > 0);
+  check Alcotest.bool "bad frames rejected" true (s.Mux.bad_frames > 0);
+  check Alcotest.int "bodies match their (channel, seq)" 0 s.Mux.forged_accepts
+
+let sharded_repeat () =
+  let spec =
+    Mux.make ~key ~logical:1024 ~phys:4096 ~budget:64
+      ~transport:(Mux.Repeat { reps = 2; group = 2 })
+      ~rounds:6 ~outsiders:16 ~seed:7L ()
+  in
+  let adversary () =
+    Radio.Adversary.random_jammer (Prng.Rng.create 22L) ~channels:4096 ~budget:64
+  in
+  let s = (sharded_identical spec ~adversary).Mux.stats in
+  check Alcotest.bool "deliveries" true (s.Mux.delivered > 0);
+  check Alcotest.bool "some heads missed under jamming" true
+    (s.Mux.full_deliveries < s.Mux.messages_done);
+  check Alcotest.int "no forged accepts" 0 s.Mux.forged_accepts
+
 (* Every honest frame on the air, checked against the naive one-shot API:
    its clear epoch header names the epoch of the emulated round it was sent
    in, it opens under that epoch's key derived from scratch, and it does
@@ -402,6 +503,11 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "pool sizes byte-identical" `Quick pool_sizes_byte_identical;
           Alcotest.test_case "epoch keys match one-shot API" `Quick epoch_keys_match_one_shot ] );
+      ( "sharded",
+        [ Alcotest.test_case "acked jammed byte-identical" `Quick sharded_acked_jammed;
+          Alcotest.test_case "acked epoch overlap byte-identical" `Quick
+            sharded_acked_epoch_overlap;
+          Alcotest.test_case "repeat byte-identical" `Quick sharded_repeat ] );
       ( "repeat",
         [ Alcotest.test_case "full delivery under jamming" `Quick repeat_transport_full_delivery ] );
       ( "cli", [ Alcotest.test_case "service rejects an invalid spec" `Quick cli_rejects_invalid_spec ] ) ]
