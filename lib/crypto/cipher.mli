@@ -14,7 +14,9 @@ type key
 (** A prepared session key: both domain-separated subkeys derived and their
     PRF/MAC midstates precomputed.  Build once per session with {!key};
     {!seal_keyed}/{!open_keyed} are byte-identical to {!seal}/{!open_}
-    under the same raw key. *)
+    under the same raw key.  Several domains may share one key through
+    {!seal_scratch}/{!open_scratch} (and the batch forms), each with its
+    own {!scratch}; the keyed and one-shot forms are per-domain. *)
 
 val key : string -> key
 

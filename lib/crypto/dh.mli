@@ -16,9 +16,11 @@ type params = { p : int64; q : int64; g : int64 }
 
 type keypair = { secret : int64; public : int64 }
 
-val default_params : params Lazy.t
+val default_params : params
 (** Deterministically generated 61-bit safe-prime group, shared by all nodes
-    (group parameters are public in the paper's model). *)
+    (group parameters are public in the paper's model):
+    [make_params ~bits:61 ~seed:0x5EC0DE2008L], precomputed.  A plain value,
+    so any domain may read it. *)
 
 val make_params : bits:int -> seed:int64 -> params
 

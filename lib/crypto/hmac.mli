@@ -13,7 +13,10 @@
 
 type key
 (** A prepared MAC key (precomputed ipad/opad midstates).  Immutable once
-    built: one [key] may be shared freely within a domain. *)
+    built: one [key] may be shared freely within a domain, and across
+    domains on the {!mac_feed_into} path (one {!scratch} per domain), which
+    only reads the midstates.  {!mac_keyed}/{!mac_feed} replay them through
+    {!Sha256.copy}, whose copies share schedule scratch with the key. *)
 
 val key : string -> key
 (** Prepare a raw key string.  Keys longer than the 64-byte block are

@@ -44,8 +44,9 @@ let copy ctx =
   (* [w] is per-block scratch, fully rewritten before every read inside one
      [compress] call, so sharing it between a context and its copies is
      safe within a domain — and keeps midstate replay (the per-MAC path of
-     {!Hmac}) allocation-light.  Contexts must not be shared across
-     domains. *)
+     {!Hmac}) allocation-light.  Across domains it is not: a context that
+     several domains replay (a shared {!Hmac.key}) must go through
+     [copy_into], whose destination keeps its own [w]. *)
   { h = Array.copy ctx.h; buf = Bytes.copy ctx.buf; buf_len = ctx.buf_len;
     total_bytes = ctx.total_bytes; w = ctx.w }
 

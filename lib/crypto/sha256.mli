@@ -14,7 +14,9 @@ val copy : ctx -> ctx
 (** An independent snapshot of the streaming state.  Feeding or finalizing
     either context leaves the other untouched — this is what lets {!Hmac}
     precompute the ipad/opad midstates once per key and replay them for
-    every MAC. *)
+    every MAC.  The copy shares per-block schedule scratch with [ctx], so
+    two domains must not copy and feed the same context at once; use
+    {!copy_into} for that. *)
 
 val copy_into : ctx -> into:ctx -> unit
 (** [copy_into src ~into] overwrites [into] with a snapshot of [src]

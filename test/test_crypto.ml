@@ -145,10 +145,24 @@ let safe_prime_deterministic () =
 (* -- Diffie-Hellman -- *)
 
 let dh_params_sane () =
-  let ps = Lazy.force Dh.default_params in
+  let ps = Dh.default_params in
   check Alcotest.bool "p prime" true (Modarith.is_probable_prime ps.Dh.p);
   check Alcotest.bool "q prime" true (Modarith.is_probable_prime ps.Dh.q);
   check Alcotest.int64 "g has order q" 1L (Modarith.pow_mod ps.Dh.g ps.Dh.q ps.Dh.p)
+
+(* The default group is a plain value, the generated one, and two pool
+   domains reading it at once (here by generating key pairs) see what a
+   serial reader sees. *)
+let dh_params_across_domains () =
+  check Alcotest.bool "default = make_params" true
+    (Dh.default_params = Dh.make_params ~bits:61 ~seed:0x5EC0DE2008L);
+  let read seed = (Dh.default_params, Dh.generate (Prng.Rng.create (Int64.of_int seed))) in
+  let serial = List.map read [ 1; 2 ] in
+  let parallel =
+    Parallel.Pool.with_pool ~domains:2 (fun pool ->
+        Parallel.Pool.map_ordered pool read [ 1; 2 ])
+  in
+  check Alcotest.bool "2 domains = serial" true (parallel = serial)
 
 let dh_agreement =
   QCheck.Test.make ~name:"dh both sides agree" ~count:50 QCheck.small_int (fun seed ->
@@ -158,7 +172,7 @@ let dh_agreement =
       = Dh.shared_secret ~secret:b.Dh.secret a.Dh.public)
 
 let dh_validation () =
-  let ps = Lazy.force Dh.default_params in
+  let ps = Dh.default_params in
   let rng = Prng.Rng.create 4L in
   let kp = Dh.generate rng in
   check Alcotest.bool "generated key valid" true (Dh.valid_public kp.Dh.public);
@@ -400,6 +414,55 @@ let cipher_batch_equals_keyed =
       in
       same_bytes && roundtrip)
 
+(* One prepared key shared by two pool domains, each with its own scratch,
+   as the mux's shards use it.  This rests on the scratch path only reading
+   the key's PRF/MAC midstates ([Sha256.copy_into] out of them), so every
+   frame, tampered ones included, equals the single-domain batch result. *)
+let cipher_shared_key_across_domains =
+  QCheck.Test.make ~name:"one key on 2 domains = seal_batch/open_batch" ~count:40
+    QCheck.(pair batch_gen (small_list small_nat))
+    (fun ((key, msgs), flips) ->
+      let ck = Cipher.key key in
+      let arr = Array.of_list msgs in
+      let n = Array.length arr in
+      let nonces = Array.init n (fun i -> Int64.of_int ((i * 13) + 5)) in
+      let sealed = Cipher.seal_batch ck (Cipher.scratch ()) ~nonces arr in
+      (* Flip one tag byte of every frame named in [flips]. *)
+      let tampered =
+        Array.mapi
+          (fun i (f : Cipher.sealed) ->
+            if not (List.exists (fun k -> k mod max n 1 = i) flips) then f
+            else begin
+              let tag = Bytes.of_string f.Cipher.tag and j = i mod 32 in
+              Bytes.set tag j (Char.chr (Char.code (Bytes.get tag j) lxor 1));
+              { f with Cipher.tag = Bytes.to_string tag }
+            end)
+          sealed
+      in
+      let serial_open = Cipher.open_batch ck (Cipher.scratch ()) tampered in
+      (* Each domain seals and opens every other frame with its own scratch. *)
+      let halves =
+        Parallel.Pool.with_pool ~domains:2 (fun pool ->
+            Parallel.Pool.map_ordered pool
+              (fun parity ->
+                let scr = Cipher.scratch () in
+                List.filter_map
+                  (fun i ->
+                    if i mod 2 <> parity then None
+                    else
+                      Some
+                        ( i,
+                          Cipher.seal_scratch ck scr ~nonce:nonces.(i) arr.(i),
+                          Cipher.open_scratch ck scr tampered.(i) ))
+                  (List.init n Fun.id))
+              [ 0; 1 ])
+      in
+      List.for_all
+        (fun (i, s, o) ->
+          String.equal (Cipher.encode s) (Cipher.encode sealed.(i)) && o = serial_open.(i))
+        (List.concat halves)
+      && List.length (List.concat halves) = n)
+
 let cipher_batch_rejects_cross_frame_tamper () =
   (* Swapping tags between two frames of one batch must fail both opens:
      scratch reuse must not leak one frame's MAC state into the next. *)
@@ -453,6 +516,7 @@ let () =
           qcheck inv_mod_works ] );
       ( "dh",
         [ Alcotest.test_case "params sane" `Quick dh_params_sane;
+          Alcotest.test_case "default params across domains" `Quick dh_params_across_domains;
           Alcotest.test_case "public validation" `Quick dh_validation;
           Alcotest.test_case "derive separates" `Quick dh_derive_key_separates;
           qcheck dh_agreement;
@@ -474,6 +538,7 @@ let () =
           qcheck cipher_decode_garbage;
           qcheck cipher_keyed_equals_oneshot;
           qcheck cipher_batch_equals_keyed;
+          qcheck cipher_shared_key_across_domains;
           Alcotest.test_case "batch cross-frame tamper" `Quick
             cipher_batch_rejects_cross_frame_tamper;
           Alcotest.test_case "batch length mismatch" `Quick batch_length_mismatch ] ) ]
