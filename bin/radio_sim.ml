@@ -45,6 +45,16 @@ let attack_arg =
 let pairs_arg =
   Arg.(value & opt int 6 & info [ "pairs" ] ~docv:"K" ~doc:"Number of disjoint exchange pairs.")
 
+let jobs_arg =
+  Arg.(
+    value
+    & opt int (Parallel.default_jobs ())
+    & info [ "jobs" ] ~docv:"N"
+        ~doc:
+          "Worker domains for the parallel runner (default: the \
+           recommended domain count).  Output is byte-identical for \
+           every N.")
+
 let resolve_n ~t n =
   if n > 0 then n
   else
@@ -125,7 +135,7 @@ let service_cmd =
   let jam_arg =
     Arg.(value & flag & info [ "jam" ] ~doc:"Random jammer spending the full budget (-t).")
   in
-  let run seed t channels phys rounds epoch_len outsiders jam =
+  let run seed t channels phys rounds epoch_len outsiders jam jobs =
     match
       Mux.make ~key:"radio-sim-service-key" ~logical:channels ~phys ~budget:t ~rounds
         ~epoch_len ~grace:(max 1 (epoch_len / 4)) ~outsiders ~seed ()
@@ -142,7 +152,7 @@ let service_cmd =
             ~budget:t
         else Core.Radio.Adversary.null
       in
-      let r = Mux.run spec ~adversary in
+      let r = Parallel.run ~jobs (fun () -> Mux.run spec ~adversary) in
       print_string (Mux.render_stats r);
       `Ok ()
   in
@@ -152,7 +162,7 @@ let service_cmd =
     Term.(
       ret
         (const run $ seed_arg $ t_arg $ channels_arg $ phys_arg $ rounds_arg $ epoch_arg
-       $ outsiders_arg $ jam_arg))
+       $ outsiders_arg $ jam_arg $ jobs_arg))
 
 let game_cmd =
   let nodes_arg =
@@ -191,16 +201,6 @@ let experiment_cmd =
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Smaller parameter grid.")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt int (Parallel.default_jobs ())
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the parallel runner (default: the \
-             recommended domain count).  Output is byte-identical for \
-             every N.")
   in
   let json_arg =
     Arg.(
