@@ -6,8 +6,11 @@
      dune exec bench/main.exe -- e4 e16       -- selected experiments
      dune exec bench/main.exe -- micro        -- Bechamel micro-benchmarks only
      dune exec bench/main.exe -- quick --jobs 4 --json BENCH.json
+     dune exec bench/main.exe -- population   -- big-n engine/f-AME families
 
-   --jobs N          worker domains for the parallel experiment runner
+   --jobs N          worker domains for the parallel experiment runner and
+                     the service mux; `population` runs on one domain and
+                     ignores it
    --jobs-sweep L    re-run the experiments at each worker count in the
                      comma-separated list L, reporting wall clock per count
                      (output must stay byte-identical; see bench_compare)

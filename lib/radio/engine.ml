@@ -413,33 +413,13 @@ let run_reference cfg ~adversary nodes =
    two-word block beside the runtime continuation itself. *)
 type kont = NoK | K of (obs, unit) Effect.Deep.continuation
 
-(* Per-shard channel accumulators for the intra-round sharded harvest.
-   One scratch per shard, written by exactly one pool task per round and
-   merged serially in shard order afterwards, which reproduces the serial
-   id-order harvest byte for byte (shards are contiguous id ranges of the
-   sorted active list). *)
-type shard_scratch = {
-  s_tx : int array;
-  s_first : int array;
-  s_frame : Frame.t array;
-  s_listen : int array;
-  s_touched : int array;
-  mutable s_n_touched : int;
-  mutable s_tx_total : int;
-  mutable s_max_payload : int;
-}
-
-(* Minimum active-node count before a round's harvest is sharded across the
-   pool: below this the per-task queue overhead beats the scan. *)
-let default_shard_min = 16384
-
 (* State codes for the per-node SoA byte array: 'f' finished, 't' transmit
    declared, 'l' listen declared, 'w' idle (one round) or parked sleeper,
    's' mid listen-series (a run of per-round listen channels declared by a
    single [listen_series] suspension; the fiber is resumed once, after the
    last round of the run). *)
 
-(* The sparse core.  Three ideas over [run_reference]:
+(* The sparse core.  Two ideas over [run_reference]:
 
    1. Sparse event-driven rounds — the engine keeps a sorted active list
       (double-buffered [cur]/[nxt]) of node ids suspended on this round's
@@ -454,15 +434,10 @@ let default_shard_min = 16384
       the harvest is a cache-linear scan over active indices instead of
       chasing per-fiber heap records.
 
-   3. Intra-round sharding — when a pool is available and the active list
-      is large, the harvest pass is partitioned into contiguous shards with
-      per-shard accumulators merged in shard order, preserving the serial
-      engine's byte-identical transcripts for every [--jobs].
-
    Determinism contract unchanged: fibers are started, resumed, and aborted
    in strictly ascending node-id order, and every run is a pure function of
    the configuration seed. *)
-let run_core ~pool ~shard_min cfg ~adversary ~get_body =
+let run_core cfg ~adversary ~get_body =
   let n = cfg.Config.n in
   let channels = cfg.Config.channels in
   let max_rounds = cfg.Config.max_rounds in
@@ -748,7 +723,7 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
     struck.(s.Adversary.chan) <- true;
     spoof_on.(s.Adversary.chan) <- s.Adversary.spoof
   in
-  let harvest_serial () =
+  let harvest () =
     let arr = !cur in
     for j = 0 to !n_cur - 1 do
       let i = arr.(j) in
@@ -777,95 +752,6 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
         if record_wanted then listeners := (i, chan) :: !listeners
       | _ -> ()
     done
-  in
-  (* Sharded harvest.  Each pool task scans one contiguous chunk of the
-     sorted active list into its own scratch; the merge below runs serially
-     in shard order after the join, so globally-first senders and the
-     touched order match the serial scan exactly. *)
-  let scratch : shard_scratch array ref = ref [||] in
-  let shard_ids : int list ref = ref [] in
-  let harvest_shard sc lo hi =
-    let arr = !cur in
-    for j = lo to hi - 1 do
-      let i = arr.(j) in
-      match Bytes.get st i with
-      | 't' ->
-        let chan = chan_of.(i) in
-        validate_chan chan;
-        sc.s_tx_total <- sc.s_tx_total + 1;
-        if sc.s_tx.(chan) = 0 && sc.s_listen.(chan) = 0 then begin
-          sc.s_touched.(sc.s_n_touched) <- chan;
-          sc.s_n_touched <- sc.s_n_touched + 1
-        end;
-        let count = sc.s_tx.(chan) in
-        sc.s_tx.(chan) <- count + 1;
-        if count = 0 then begin
-          sc.s_first.(chan) <- i;
-          sc.s_frame.(chan) <- frame_of.(i)
-        end;
-        let payload = Frame.payload_size frame_of.(i) in
-        if payload > sc.s_max_payload then sc.s_max_payload <- payload
-      | 'l' | 's' ->
-        let chan = chan_of.(i) in
-        validate_chan chan;
-        if sc.s_tx.(chan) = 0 && sc.s_listen.(chan) = 0 then begin
-          sc.s_touched.(sc.s_n_touched) <- chan;
-          sc.s_n_touched <- sc.s_n_touched + 1
-        end;
-        sc.s_listen.(chan) <- sc.s_listen.(chan) + 1
-      | _ -> ()
-    done
-  in
-  let merge_shard sc =
-    for j = 0 to sc.s_n_touched - 1 do
-      let chan = sc.s_touched.(j) in
-      touch chan;
-      let stx = sc.s_tx.(chan) in
-      if stx > 0 && Array.get tx_count chan = 0 then begin
-        Array.set first_sender chan sc.s_first.(chan);
-        Array.set first_frame chan sc.s_frame.(chan)
-      end;
-      Array.set tx_count chan (Array.get tx_count chan + stx);
-      Array.set listeners_on chan (Array.get listeners_on chan + sc.s_listen.(chan));
-      sc.s_tx.(chan) <- 0;
-      sc.s_listen.(chan) <- 0;
-      sc.s_first.(chan) <- -1;
-      sc.s_frame.(chan) <- dummy_frame
-    done;
-    sc.s_n_touched <- 0;
-    tx_total := !tx_total + sc.s_tx_total;
-    sc.s_tx_total <- 0;
-    if sc.s_max_payload > stats.Transcript.Stats.max_payload then
-      stats.Transcript.Stats.max_payload <- sc.s_max_payload;
-    sc.s_max_payload <- 0
-  in
-  let harvest_sharded p =
-    let nshards = Parallel.Pool.size p in
-    if Array.length !scratch = 0 then begin
-      scratch :=
-        Array.init nshards (fun _ ->
-            { s_tx = Array.make channels 0;
-              s_first = Array.make channels (-1);
-              s_frame = Array.make channels dummy_frame;
-              s_listen = Array.make channels 0;
-              s_touched = Array.make channels 0;
-              s_n_touched = 0;
-              s_tx_total = 0;
-              s_max_payload = 0 });
-      shard_ids := List.init nshards Fun.id
-    end;
-    let total = !n_cur in
-    let chunk = (total + nshards - 1) / nshards in
-    ignore
-      (Parallel.Pool.map_ordered p
-         (fun s ->
-           let lo = s * chunk in
-           let hi = min total (lo + chunk) in
-           (* Each task writes only scratch slot [s]; the join below is the
-              barrier before the serial merge. *)
-           if lo < hi then harvest_shard (Array.get !scratch s) lo hi)
-         !shard_ids);
-    Array.iter merge_shard !scratch
   in
   let[@inline] resume_one i =
     match Bytes.get st i with
@@ -976,7 +862,7 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
   let min_wake () =
     (* A pure minimum over the keys: the unspecified iteration order cannot
        change the result, so no sorted Det.fold detour is needed here. *)
-    (* radio-lint: allow nondet-hashtbl-order — min over keys is order-independent *)
+    (* radio-lint: allow nondet-hashtbl-order *) (* radio-race: allow race-taint *)
     Hashtbl.fold (fun r _ acc -> if acc < 0 || r < acc then r else acc) wake (-1)
   in
   while !live > 0 && !round_counter < max_rounds do
@@ -998,12 +884,7 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
       honest_tx := [];
       listeners := [];
       tx_total := 0;
-      (match pool with
-      | Some p
-        when (not record_wanted) && !n_cur >= shard_min && Parallel.Pool.size p > 1
-        ->
-        harvest_sharded p
-      | _ -> harvest_serial ());
+      harvest ();
       (* 2. Adversary commits its strikes without seeing this round's
          choices. *)
       let strikes =
@@ -1142,15 +1023,13 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
   { stats; transcript = List.rev !transcript; completed; rounds_used = !round_counter;
     channel_usage = usage }
 
-let run ?pool ?(shard_min = default_shard_min) cfg ~adversary nodes =
+let run cfg ~adversary nodes =
   let n = cfg.Config.n in
   if Array.length nodes <> n then
     invalid_arg "Engine.run: node array length must equal cfg.n";
-  let pool = match pool with Some _ as p -> p | None -> Parallel.ambient_pool () in
-  run_core ~pool ~shard_min cfg ~adversary ~get_body:(fun i -> Array.get nodes i)
+  run_core cfg ~adversary ~get_body:(fun i -> Array.get nodes i)
 
-let run_nodes ?pool ?(shard_min = default_shard_min) cfg ~adversary body =
+let run_nodes cfg ~adversary body =
   (* One shared body closure, indexed by [ctx.id] — no n-length array of
      identical closures. *)
-  let pool = match pool with Some _ as p -> p | None -> Parallel.ambient_pool () in
-  run_core ~pool ~shard_min cfg ~adversary ~get_body:(fun _ -> body)
+  run_core cfg ~adversary ~get_body:(fun _ -> body)

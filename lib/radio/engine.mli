@@ -17,9 +17,8 @@
     {!run_nodes}) is sparse and event-driven: per-node state lives in flat
     struct-of-arrays slots, a round costs work proportional to the number
     of {e active} nodes (fibers parked by {!idle_for} sit in a wake queue
-    until their round), and on a multi-domain pool the harvest scan of a
-    large round is sharded across domains with a deterministic in-order
-    merge.  {!run_reference} is the original dense O(n)-per-round loop,
+    until their round), and the whole round runs on the calling domain.
+    {!run_reference} is the original dense O(n)-per-round loop,
     kept as the semantic oracle: both cores produce byte-identical stats,
     transcripts, and round counts for the same configuration. *)
 
@@ -75,34 +74,25 @@ type result = {
   rounds_used : int;
   channel_usage : Transcript.Channel_usage.t option;
       (** per-physical-channel counters; [Some] iff [Config.track_channels].
-          Identical across cores, pool sizes, and sharding. *)
+          Identical across cores. *)
 }
 
-val run :
-  ?pool:Parallel.Pool.t ->
-  ?shard_min:int ->
-  Config.t ->
-  adversary:Adversary.t ->
-  (ctx -> unit) array ->
-  result
+val run : Config.t -> adversary:Adversary.t -> (ctx -> unit) array -> result
 (** [run cfg ~adversary nodes] starts one fiber per node (the array must
     have length [cfg.n]) and drives rounds until every fiber returns.
     Raises [Invalid_argument] on malformed node actions (bad channel).
 
-    [?pool] (default: the ambient {!Parallel.run} pool, if any) enables
-    intra-round sharding of the harvest scan; [?shard_min] (default 16384)
-    is the minimum active-node count before a round is sharded.  Sharding
-    never changes observable behaviour: per-shard accumulators are merged
-    in shard order, so stats, transcripts, and stdout are byte-identical
-    for every pool size, including none. *)
+    A run uses no domain pool, so its result is the same inside or outside
+    any [Parallel.run] scope.  Parallelism lives above the engine: the
+    experiment runner spreads independent runs over the pool, and
+    [Secure_channel.Mux] shards its own per-round prepare step.  One
+    round's scan is not split across domains: on a 2-core host under 1% of
+    the rounds of the n = 10{^5} f-AME benchmark, and none of the service
+    benchmarks' or experiment sweeps', have the 16384 active nodes such a
+    split needed, and f-AME ran no slower without it (README, "Running
+    experiments in parallel"). *)
 
-val run_nodes :
-  ?pool:Parallel.Pool.t ->
-  ?shard_min:int ->
-  Config.t ->
-  adversary:Adversary.t ->
-  (ctx -> unit) ->
-  result
+val run_nodes : Config.t -> adversary:Adversary.t -> (ctx -> unit) -> result
 (** Convenience: the same body for every node (it can branch on [ctx.id]).
     The body closure is shared — node state is indexed by [ctx.id], so no
     n-length array of identical closures is built. *)

@@ -896,7 +896,7 @@ let run ?pool spec ~adversary =
       | Acked -> pig_service_body t ctx
       | Repeat { reps; group } -> repeat_service_body t ~reps ~group ctx
   in
-  let engine = Radio.Engine.run_nodes ?pool cfg ~adversary body in
+  let engine = Radio.Engine.run_nodes cfg ~adversary body in
   finalize t;
   { spec; stats = t.st; engine; latency_hist = t.lat; emulated_rounds = spec.rounds;
     real_rounds_per_emulated = t.rpe }

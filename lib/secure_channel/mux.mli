@@ -172,9 +172,10 @@ val shard_min_frames : int
 
 val run : ?pool:Parallel.Pool.t -> spec -> adversary:Radio.Adversary.t -> result
 (** Run the workload on the sparse engine (channel-usage tracking on).  The
-    pool — [?pool], else {!Parallel.ambient_pool} — shards both the engine's
-    harvest and the prepare step's seal/open work.  Deterministic in
-    [spec]: byte-identical stats and {!render_stats} for every pool size. *)
+    pool — [?pool], else {!Parallel.ambient_pool} — shards the prepare
+    step's seal/open work; the engine itself runs on the calling domain.
+    Deterministic in [spec]: byte-identical stats and {!render_stats} for
+    every pool size. *)
 
 val render_stats : result -> string
 (** Canonical multi-line rendering of everything observable about the run;

@@ -8,15 +8,16 @@ type spec = {
   scratch : Crypto.Cipher.scratch;
 }
 
-let log2 x = log x /. log 2.0
-
-let make_spec ?(beta = 4.0) ~key ~cfg () =
+let reps ?(beta = 4.0) cfg =
   let t = cfg.Radio.Config.t in
-  let n = cfg.Radio.Config.n in
-  let reps =
-    max 1 (int_of_float (ceil (beta *. float_of_int (t + 1) *. log2 (float_of_int (max n 4)))))
-  in
-  { key; channels = cfg.Radio.Config.channels; budget = t; reps;
+  let log2 x = log x /. log 2.0 in
+  max 1
+    (int_of_float
+       (ceil (beta *. float_of_int (t + 1) *. log2 (float_of_int (max cfg.Radio.Config.n 4)))))
+
+let make_spec ?beta ~key ~cfg () =
+  { key; channels = cfg.Radio.Config.channels; budget = cfg.Radio.Config.t;
+    reps = reps ?beta cfg;
     hop_prf = Crypto.Prf.Keyed.create key; cipher = Crypto.Cipher.key key;
     scratch = Crypto.Cipher.scratch () }
 
@@ -52,12 +53,11 @@ let broadcast spec ~sender ~seq msg =
     Radio.Engine.transmit ~chan (Radio.Frame.Sealed (Crypto.Cipher.encode sealed))
   done
 
-let recv spec rng =
+let recv spec =
   let got = ref None in
   for _ = 1 to spec.reps do
     let round = Radio.Engine.current_round () in
     let chan = hop spec ~round in
-    ignore rng;
     match Radio.Engine.listen ~chan with
     | Some (Radio.Frame.Sealed blob) when !got = None ->
       (match Crypto.Cipher.decode blob with
@@ -111,7 +111,7 @@ let run_workload ~cfg ~key_holders ~spec ~sends ~adversary () =
       | Some (_, _, msg) -> broadcast spec ~sender:id ~seq:er msg
       | None ->
         if holds_key then begin
-          match recv spec ctx.rng with
+          match recv spec with
           | Some (sender, seq, msg) -> receptions.(id) <- (er, sender, seq, msg) :: receptions.(id)
           | None -> ()
         end

@@ -28,10 +28,15 @@ type spec = {
           strictly sequentially within the engine's domain *)
 }
 
+val reps : ?beta:float -> Radio.Config.t -> int
+(** Real rounds per emulated round: [ceil(beta * (t+1) * log2 n)] with
+    [beta] defaulting to 4 and [n] floored at 4 — the Theta(t log n) knob.
+    With C >= 2t the hop channel avoids the jammer with probability >= 1/2
+    and beta can shrink accordingly (same formula, smaller constant).
+    {!Unicast} uses the same count. *)
+
 val make_spec : ?beta:float -> key:string -> cfg:Radio.Config.t -> unit -> spec
-(** [reps = ceil(beta * (t+1) * log2 n)] — the Theta(t log n) knob; with
-    C >= 2t the hop channel avoids the jammer with probability >= 1/2 and
-    beta can shrink accordingly (same formula, smaller constant). *)
+(** [reps] is {!reps} [?beta cfg]. *)
 
 val hop : spec -> round:int -> int
 (** The meeting channel for absolute engine round [round]. *)
@@ -42,11 +47,10 @@ val hop : spec -> round:int -> int
 val broadcast : spec -> sender:int -> seq:int -> string -> unit
 (** Transmit [msg] in this emulated round (requires holding the key). *)
 
-val recv : spec -> Prng.Rng.t -> (int * int * string) option
-(** Listen through this emulated round; [Some (sender, seq, msg)] on the
-    first authentic frame.  Spoofed or corrupted frames fail MAC
-    verification and are ignored.  Pass the node's rng (used only by key
-    outsiders; key holders follow the hop deterministically). *)
+val recv : spec -> (int * int * string) option
+(** Listen through this emulated round on the hop channel; [Some (sender,
+    seq, msg)] on the first authentic frame.  Spoofed or corrupted frames
+    fail MAC verification and are ignored. *)
 
 val idle : spec -> unit
 (** Sit out this emulated round (still consumes [spec.reps] rounds). *)

@@ -113,7 +113,7 @@ let run_workload ~cfg ~key_holders ~spec ~mtu ~sends ~adversary () =
       (fun er (sender, frag_payload) ->
         if id = sender then Service.broadcast spec ~sender:id ~seq:er frag_payload
         else if holds_key then begin
-          match Service.recv spec ctx.rng with
+          match Service.recv spec with
           | Some (from, _, payload) ->
             (match feed reassembler ~sender:from payload with
              | Some (msg_id, _message) ->

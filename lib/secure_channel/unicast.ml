@@ -7,15 +7,9 @@ type spec = {
   cipher : Crypto.Cipher.key;
 }
 
-let log2 x = log x /. log 2.0
-
-let make_spec ?(beta = 4.0) ~key ~cfg () =
-  let t = cfg.Radio.Config.t in
-  let n = cfg.Radio.Config.n in
-  let reps =
-    max 1 (int_of_float (ceil (beta *. float_of_int (t + 1) *. log2 (float_of_int (max n 4)))))
-  in
-  { key; channels = cfg.Radio.Config.channels; budget = t; reps;
+let make_spec ?beta ~key ~cfg () =
+  { key; channels = cfg.Radio.Config.channels; budget = cfg.Radio.Config.t;
+    reps = Service.reps ?beta cfg;
     hop_prf = Crypto.Prf.Keyed.create key; cipher = Crypto.Cipher.key key }
 
 let hop spec ~round =
@@ -103,7 +97,7 @@ let run_streams ~cfg ~keys ~streams ~adversary () =
           | Some (Radio.Frame.Sealed blob) ->
             (match Crypto.Cipher.decode blob with
              | Some sealed ->
-               (match Crypto.Cipher.open_ ~key:spec.key sealed with
+               (match Crypto.Cipher.open_keyed spec.cipher sealed with
                 | Some payload ->
                   (match decode_payload payload with
                    | Some (seq, msg) ->
@@ -115,8 +109,7 @@ let run_streams ~cfg ~keys ~streams ~adversary () =
         done
       done
     | None, None ->
-      let reps = (make_spec ~key:"idle" ~cfg ()).reps in
-      for _ = 1 to emulated_rounds * reps do
+      for _ = 1 to emulated_rounds * Service.reps cfg do
         Radio.Engine.idle ()
       done
   in

@@ -22,6 +22,7 @@ type spec = {
 }
 
 val make_spec : ?beta:float -> key:string -> cfg:Radio.Config.t -> unit -> spec
+(** [reps] is {!Service.reps} [?beta cfg], the broadcast service's count. *)
 
 val hop : spec -> round:int -> int
 (** Pairwise pattern, domain-separated from the broadcast service's. *)

@@ -3,16 +3,16 @@
    The sparse event-driven core (Engine.run) must be observationally
    identical to the dense reference core (Engine.run_reference): same
    stats, same transcript records, same round counts, same completion
-   flag, for every workload and adversary.  The sharded harvest path must
-   additionally be byte-identical for every pool size, so `--jobs` can
-   never change results. *)
+   flag, for every workload and adversary.  A run inside a
+   [Parallel.run] scope, on the calling domain or on a pool domain, must
+   additionally be byte-identical to a run outside any scope, so `--jobs`
+   can never change results. *)
 
 module Config = Radio.Config
 module Frame = Radio.Frame
 module Engine = Radio.Engine
 module Adversary = Radio.Adversary
 module Transcript = Radio.Transcript
-module Pool = Parallel.Pool
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -132,7 +132,7 @@ let config_of p =
   Config.make ~n:p.n ~channels:p.channels ~t:p.t ~seed:(Int64.of_int p.seed) ~max_rounds
     ~record_transcript:p.record ~track_channels:p.track ()
 
-let run_with core ?pool ?shard_min p =
+let run_with core p =
   let cfg = config_of p in
   let adversary =
     make_adversary ~which:p.which ~channels:p.channels ~budget:p.t ~seed:p.seed ()
@@ -140,7 +140,7 @@ let run_with core ?pool ?shard_min p =
   let nodes = Array.init p.n (fun _ -> node_body ~n:p.n ~channels:p.channels ~steps:p.steps) in
   match core with
   | `Reference -> Engine.run_reference cfg ~adversary nodes
-  | `Sparse -> Engine.run ?pool ?shard_min cfg ~adversary nodes
+  | `Sparse -> Engine.run cfg ~adversary nodes
 
 let fail_unequal p a b =
   QCheck.Test.fail_reportf "divergence on %s:@ %t" (pp_params p) (fun fmt ->
@@ -154,24 +154,29 @@ let sparse_equals_reference =
       let b = run_with `Sparse p in
       if not (same_result a b) then fail_unequal p a b else true)
 
-(* -- property: sharded harvest = serial harvest for pool sizes 1/2/4 --
+(* -- pool scopes: jobs 1/2/4 never change a run --
 
-   [shard_min:1] forces sharding whenever a pool is present, so even the
-   small random populations exercise the scatter/merge path.  Recording is
-   forced off (the sharded path only runs on the cheap path; with record
-   on, [run] must silently fall back and still match). *)
+   Experiments and f-AME benchmarks run the engine inside [Parallel.run],
+   on the submitting domain and on pool domains.  [in_pool_scopes run]
+   repeats [run] both ways for jobs 1, 2 and 4 and returns every result,
+   each of which must equal the run outside any scope. *)
+
+let in_pool_scopes run =
+  List.concat_map
+    (fun jobs ->
+      Parallel.run ~jobs (fun () ->
+          let here = run () in
+          here :: Parallel.map_ordered ~jobs (fun () -> run ()) [ (); () ]))
+    [ 1; 2; 4 ]
 
 let sharded_equals_serial =
   QCheck.Test.make ~name:"sharded rounds byte-identical for jobs 1/2/4" ~count:40 params_arb
     (fun p ->
-      let serial = run_with `Sparse p in
+      let outside = run_with `Sparse p in
       List.for_all
-        (fun domains ->
-          Pool.with_pool ~domains (fun pool ->
-              let sharded = run_with `Sparse ~pool ~shard_min:1 p in
-              if not (same_result serial sharded) then fail_unequal p serial sharded
-              else true))
-        [ 1; 2; 4 ])
+        (fun inside ->
+          if not (same_result outside inside) then fail_unequal p outside inside else true)
+        (in_pool_scopes (fun () -> run_with `Sparse p)))
 
 (* -- deterministic spot checks -- *)
 
@@ -237,9 +242,8 @@ let run_nodes_equals_run () =
   check Alcotest.bool "identical" true (same_result a b)
 
 let sharded_large_round_parity () =
-  (* A population large enough that sharding engages at the default-ish
-     threshold semantics (forced low here), with every node active every
-     round — the worst case for the scatter/merge. *)
+  (* Every node active every round: the largest rounds this population can
+     produce, run inside and outside the pool scopes. *)
   let n = 2_000 in
   let channels = 4 and t = 1 in
   let cfg = Config.make ~n ~channels ~t ~seed:42L () in
@@ -252,16 +256,15 @@ let sharded_large_round_parity () =
       else ignore (Engine.listen ~chan)
     done
   in
-  let mk () = Adversary.sweep_jammer ~channels ~budget:t in
-  let serial = Engine.run_nodes cfg ~adversary:(mk ()) body in
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          let sharded = Engine.run_nodes ~pool ~shard_min:64 cfg ~adversary:(mk ()) body in
-          check Alcotest.bool
-            (Printf.sprintf "jobs=%d byte-identical" domains)
-            true (same_result serial sharded)))
-    [ 1; 2; 4 ]
+  let run () =
+    Engine.run_nodes cfg ~adversary:(Adversary.sweep_jammer ~channels ~budget:t) body
+  in
+  let outside = run () in
+  List.iteri
+    (fun k inside ->
+      check Alcotest.bool (Printf.sprintf "scoped run %d byte-identical" k) true
+        (same_result outside inside))
+    (in_pool_scopes run)
 
 (* -- listen_series: parked vs per-round vs reference ---------------------
 
@@ -324,32 +327,20 @@ let series_heard_parity () =
   let n = 12 and channels = 3 and seed = 5L in
   let go ~record core = series_workload ~n ~channels ~record ~seed core in
   let reference cfg nodes = Engine.run_reference cfg ~adversary:Adversary.null nodes in
-  let sparse ?pool ?shard_min cfg nodes =
-    Engine.run ?pool ?shard_min cfg ~adversary:Adversary.null nodes
-  in
+  let sparse cfg nodes = Engine.run cfg ~adversary:Adversary.null nodes in
   (* Parked fast path (record off, non-observing adversary) vs reference. *)
   let ra, ha = go ~record:false reference in
-  let rb, hb = go ~record:false (sparse ?pool:None ?shard_min:None) in
+  let rb, hb = go ~record:false sparse in
   check Alcotest.bool "parked: engine observables identical" true (same_result ra rb);
   check Alcotest.bool "parked: heard frames identical" true (ha = hb);
   check Alcotest.bool "listeners heard something" true
     (Array.exists (fun l -> List.exists (fun s -> s <> "-") l) hb);
   (* Per-round path (record on) must hear exactly the same frames. *)
   let rc, hc = go ~record:true reference in
-  let rd, hd = go ~record:true (sparse ?pool:None ?shard_min:None) in
+  let rd, hd = go ~record:true sparse in
   check Alcotest.bool "recorded: engine observables identical" true (same_result rc rd);
   check Alcotest.bool "recorded: heard frames identical" true (hc = hd);
-  check Alcotest.bool "recorded path hears what the parked path hears" true (hb = hd);
-  (* Sharded harvest under the parked path, jobs 2 and 4. *)
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          let re, he = go ~record:false (sparse ~pool ~shard_min:1) in
-          check Alcotest.bool
-            (Printf.sprintf "parked sharded jobs=%d identical" domains)
-            true
-            (same_result rb re && hb = he)))
-    [ 2; 4 ]
+  check Alcotest.bool "recorded path hears what the parked path hears" true (hb = hd)
 
 let series_rejects_bad_arguments () =
   let cfg = Config.make ~n:2 ~channels:2 ~t:0 ~seed:3L () in
