@@ -7,6 +7,8 @@
      dune exec bench/main.exe -- micro        -- Bechamel micro-benchmarks only
      dune exec bench/main.exe -- quick --jobs 4 --json BENCH.json
      dune exec bench/main.exe -- population   -- big-n engine/f-AME families
+     dune exec bench/main.exe -- population --huge population/fame-pair-hop-n1e6
+                                              -- only the named population rows
 
    --jobs N          worker domains for the parallel experiment runner and
                      the service mux; `population` runs on one domain and
@@ -15,6 +17,11 @@
                      comma-separated list L, reporting wall clock per count
                      (output must stay byte-identical; see bench_compare)
    --json P          write structured results + per-experiment wall-clock to P
+
+   After each population row the harness prints the peak major heap of the
+   process so far (Gc top_heap_words) and, on Linux, its peak RSS (VmHWM):
+   both are process-lifetime peaks, so a row's own footprint is only
+   isolated when it runs alone.
 
    Each experiment table regenerates one exhibit of the paper (Figure 3's
    three rows, plus the theorem-level claims); see EXPERIMENTS.md for the
@@ -401,10 +408,29 @@ let population_rows ~huge =
           fun () -> pop_engine_sparse ~n:1_000_000 ~rounds:5000 () );
         ("population/fame-pair-hop-n1e6", 1, fun () -> pop_fame ~n:1_000_000 ()) ]
 
-let run_population ~huge =
+(* The process's peak resident set, where /proc/self/status reports it. *)
+let peak_rss () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+    let rec scan () =
+      match input_line ic with
+      | exception End_of_file -> None
+      | line ->
+        if String.starts_with ~prefix:"VmHWM:" line then
+          Some (String.trim (String.sub line 6 (String.length line - 6)))
+        else scan ()
+    in
+    Fun.protect ~finally:(fun () -> close_in ic) scan
+
+let run_population ~huge ~ids =
   print_endline "\n== Population-scale benches (plain timed, median of runs) ==\n";
   Printf.printf "  %-36s %6s %10s %12s  %s\n" "bench" "runs" "median s" "rounds/sec"
     "runs (s)";
+  let rows = population_rows ~huge in
+  let rows =
+    match ids with [] -> rows | _ -> List.filter (fun (name, _, _) -> List.mem name ids) rows
+  in
   List.map
     (fun (name, runs, work) ->
       let samples =
@@ -415,14 +441,18 @@ let run_population ~huge =
       let rounds = fst (List.hd samples) in
       let med = median (List.map snd samples) in
       let rps = float_of_int rounds /. med in
-      Printf.printf "  %-36s %6d %10.3f %12.0f  [%s]\n%!" name runs med rps
+      Printf.printf "  %-36s %6d %10.3f %12.0f  [%s]\n" name runs med rps
         (String.concat "; " (List.map (fun (_, s) -> Printf.sprintf "%.3f" s) samples));
+      Printf.printf "  %-36s peak major heap so far (process lifetime): %.0f MiB%s\n%!" ""
+        (float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
+        /. 1048576.0)
+        (match peak_rss () with Some rss -> ", VmHWM " ^ rss | None -> "");
       { bench_name = name;
         ns_per_run = med *. 1e9 /. float_of_int rounds;
         minor_words_per_run = 0.0;
         major_words_per_run = 0.0;
         promoted_words_per_run = 0.0 })
-    (population_rows ~huge)
+    rows
 
 (* -- service throughput benches (plain timed, median of runs) --
 
@@ -647,8 +677,10 @@ let usage () =
     "usage: main.exe [quick] [micro] [service [--service-channels N,N,... (even)]] \
      [population [--huge]] [ID...] [--jobs N] [--jobs-sweep N,N,...] [--json PATH] \
      [--bench-json PATH]\n\
-     available: %s, micro, service, population\n"
-    (String.concat ", " Experiments.Registry.ids);
+     available: %s, micro, service, population\n\
+     population rows (IDs after `population`): %s\n"
+    (String.concat ", " Experiments.Registry.ids)
+    (String.concat ", " (List.map (fun (name, _, _) -> name) (population_rows ~huge:true)));
   exit 1
 
 let parse_jobs_sweep spec =
@@ -690,22 +722,29 @@ let parse_args args =
     | "--jobs-sweep" :: spec :: rest -> go { acc with jobs_sweep = parse_jobs_sweep spec } rest
     | "--json" :: path :: rest -> go { acc with json = Some path } rest
     | "--bench-json" :: path :: rest -> go { acc with bench_json = Some path } rest
-    | id :: rest ->
-      if Experiments.Registry.find id = None then usage ()
-      else go { acc with ids = acc.ids @ [ id ] } rest
+    | id :: rest -> go { acc with ids = acc.ids @ [ id ] } rest
   in
-  go
-    { quick = false; micro = false; population = false; huge = false; service = false;
-      service_channels = None; jobs = Parallel.default_jobs (); jobs_sweep = [];
-      json = None; bench_json = None; ids = [] }
-    args
+  let cli =
+    go
+      { quick = false; micro = false; population = false; huge = false; service = false;
+        service_channels = None; jobs = Parallel.default_jobs (); jobs_sweep = [];
+        json = None; bench_json = None; ids = [] }
+      args
+  in
+  (* IDs name experiments, or population rows in `population` mode. *)
+  let known id =
+    if cli.population then
+      List.exists (fun (name, _, _) -> String.equal name id) (population_rows ~huge:cli.huge)
+    else Experiments.Registry.find id <> None
+  in
+  if List.for_all known cli.ids then cli else usage ()
 
 let () =
   let cli = parse_args (List.tl (Array.to_list Sys.argv)) in
   (* `population` is its own mode: the big-n plain-timed families, no
      experiment tables, no Bechamel micro suite. *)
   if cli.population then begin
-    let rows = run_population ~huge:cli.huge in
+    let rows = run_population ~huge:cli.huge ~ids:cli.ids in
     match cli.bench_json with
     | Some path -> (
       match

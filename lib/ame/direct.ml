@@ -9,6 +9,14 @@ type outcome = {
 
 module Int_set = Set.Make (Int)
 
+(* The referee's next move over the remaining edges. *)
+type move =
+  | Stop  (** at most t node-disjoint edges remain *)
+  | Unschedulable  (** [Schedule.Divergence]: only after a whp failure *)
+  | Scheduled of { batch : (int * int) list; sched : Schedule.t; entry : Oracle.entry }
+
+type referee = { remaining : Rgraph.Digraph.t; move : move }
+
 (* Greedy maximal set of node-disjoint edges, in sorted order. *)
 let disjoint_batch edges ~limit =
   let rec go acc used = function
@@ -36,64 +44,86 @@ let run ?(ame_params = Params.default) ?channels_used ~cfg ~pairs ~messages ~adv
   (* Shared across all node fibers of this run: builds interleave on one
      domain and never span a suspension, so they cannot overlap. *)
   let sched_scratch = Schedule.make_scratch () in
-  let node_body (ctx : Radio.Engine.ctx) =
-    let id = ctx.id in
-    let remaining = ref (Rgraph.Digraph.of_edges pairs) in
-    let rec play () =
-      let batch = disjoint_batch (Rgraph.Digraph.edges !remaining) ~limit:channels_used in
+  (* The referee's next move over the undelivered edges [remaining]: a
+     node-disjoint batch and its schedule. *)
+  let referee remaining =
+    let batch = disjoint_batch (Rgraph.Digraph.edges remaining) ~limit:channels_used in
+    let move =
       (* With <= t schedulable edges the adversary can jam them all, every
          move: no further progress is guaranteed, so the protocol stops. *)
-      if List.length batch <= budget then ()
+      if List.length batch <= budget then Stop
       else begin
         let proposal = List.map (fun e -> Game.State.Edge e) batch in
         match
           Schedule.build ~scratch:sched_scratch ~proposal ~surrogates:(fun _ -> [||]) ~n
             ~witness_size:channels ~watchers_per_channel ()
         with
-        | exception Schedule.Divergence _ -> diverged := true
-        | sched ->
-          let msg_round = Radio.Engine.current_round () in
-          Oracle.post board ~round:msg_round (Schedule.oracle_entry sched);
-          let my_recv = ref None in
-          (match Schedule.role_of sched id with
-           | Schedule.Broadcast { channel; owner } ->
-             (* Sources broadcast their own single message: no vectors. *)
-             let entries =
-               List.filter_map
-                 (fun (v, w) -> if v = owner then Some (w, messages (v, w)) else None)
-                 batch
-             in
-             Radio.Engine.transmit ~chan:channel (Radio.Frame.Vector { owner; entries })
-           | Schedule.Receive { channel; _ } -> my_recv := Radio.Engine.listen ~chan:channel
-           | Schedule.Watch { channel } -> my_recv := Radio.Engine.listen ~chan:channel
-           | Schedule.Off -> Radio.Engine.idle ());
-          let my_flag = Option.is_some !my_recv in
-          let d =
-            Feedback.run ~my_id:id ~rng:ctx.rng ~channels ~reps
-              ~witnesses:sched.Schedule.watchers ~witness_size:channels ~my_flag
-          in
-          let successes = List.filter (fun c -> c < Array.length sched.Schedule.items) d in
-          List.iter
-            (fun c ->
-              match sched.Schedule.items.(c) with
-              | Game.State.Edge (v, w) ->
-                if id = w then begin
-                  match !my_recv with
-                  | Some (Radio.Frame.Vector { owner; entries }) when owner = v ->
-                    (match List.assoc_opt w entries with
-                     | Some body -> Hashtbl.replace delivered_cells (v, w) body
-                     | None -> ())
-                  | _ -> ()
-                end;
-                remaining := Rgraph.Digraph.remove_edge !remaining (v, w)
-              | Game.State.Node _ -> ())
-            successes;
-          if id = 0 then incr moves_counter;
-          if successes = [] then diverged := true
-          else if not !diverged then play ()
+        | exception Schedule.Divergence _ -> Unschedulable
+        | sched -> Scheduled { batch; sched; entry = Schedule.oracle_entry sched }
       end
     in
-    play ()
+    { remaining; move }
+  in
+  let next_referee sched successes r =
+    referee
+      (List.fold_left
+         (fun remaining c ->
+           match sched.Schedule.items.(c) with
+           | Game.State.Edge e -> Rgraph.Digraph.remove_edge remaining e
+           | Game.State.Node _ -> remaining)
+         r.remaining successes)
+  in
+  (* One referee state per feedback history, shared by the nodes that
+     decided it (see {!Move_tree}). *)
+  let tree = Move_tree.create (referee (Rgraph.Digraph.of_edges pairs)) in
+  let node_body (ctx : Radio.Engine.ctx) =
+    let id = ctx.id in
+    let bufs = Feedback.buffers ~reps in
+    let rec play at =
+      match (Move_tree.value at).move with
+      | Stop -> ()
+      | Unschedulable -> diverged := true
+      | Scheduled { batch; sched; entry } ->
+        Oracle.post board ~round:(Radio.Engine.current_round ()) entry;
+        let my_recv = ref None in
+        (match Schedule.role_of sched id with
+         | Schedule.Broadcast { channel; owner } ->
+           (* Sources broadcast their own single message: no vectors. *)
+           let entries =
+             List.filter_map
+               (fun (v, w) -> if v = owner then Some (w, messages (v, w)) else None)
+               batch
+           in
+           Radio.Engine.transmit ~chan:channel (Radio.Frame.Vector { owner; entries })
+         | Schedule.Receive { channel; _ } -> my_recv := Radio.Engine.listen ~chan:channel
+         | Schedule.Watch { channel } -> my_recv := Radio.Engine.listen ~chan:channel
+         | Schedule.Off -> Radio.Engine.idle ());
+        let my_flag = Option.is_some !my_recv in
+        let d =
+          Feedback.run ~bufs ~my_id:id ~rng:ctx.rng ~channels ~reps
+            ~witnesses:sched.Schedule.watchers ~witness_size:channels ~my_flag
+        in
+        let successes = List.filter (fun c -> c < Array.length sched.Schedule.items) d in
+        List.iter
+          (fun c ->
+            match sched.Schedule.items.(c) with
+            | Game.State.Edge (v, w) when id = w -> (
+              match !my_recv with
+              | Some (Radio.Frame.Vector { owner; entries }) when owner = v ->
+                (match List.assoc_opt w entries with
+                 | Some body -> Hashtbl.replace delivered_cells (v, w) body
+                 | None -> ())
+              | _ -> ())
+            | Game.State.Edge _ | Game.State.Node _ -> ())
+          successes;
+        if id = 0 then incr moves_counter;
+        (match successes with
+         | [] -> diverged := true
+         | _ ->
+           let next = Move_tree.child tree at ~successes (next_referee sched successes) in
+           if not !diverged then play next)
+    in
+    play (Move_tree.root tree)
   in
   let engine = Radio.Engine.run_nodes cfg ~adversary:(adversary board) node_body in
   let delivered = Det.bindings delivered_cells in

@@ -9,7 +9,9 @@
     against f-AME.
 
     Shares the radio mechanics of f-AME (same witness/feedback machinery),
-    differing only in scheduling and the absence of surrogate recruitment. *)
+    differing only in scheduling and the absence of surrogate recruitment.
+    Like {!Fame.run}, it computes each move's batch and schedule once per
+    feedback history through a {!Move_tree}, not once per node. *)
 
 type outcome = {
   engine : Radio.Engine.result;

@@ -6,7 +6,46 @@ type outcome = {
   disruption_vc : int option;
   diverged : bool;
   moves : int;
+  referee_states : int;
 }
+
+module Int_map = Map.Make (Int)
+
+(* The referee's next move from one game state. *)
+type move =
+  | Game_over  (** no legal proposal is left *)
+  | Unschedulable  (** [Schedule.Divergence]: only after a whp failure *)
+  | Scheduled of { sched : Schedule.t; entry : Oracle.entry; tree_this_move : bool }
+
+(* The referee state after one feedback history, shared by every node that
+   decided that history. *)
+type referee = {
+  state : Game.State.t;
+  surrogates : int array Int_map.t;  (** starred node -> its surrogates *)
+  move : move;
+  final : string Lazy.t;  (** [serialize state], forced when a node ends here *)
+}
+
+(* Canonical serialization, not [Hashtbl.hash]: the polymorphic hash is no
+   cross-host fingerprint, and divergence detection only needs equality of
+   the final states. *)
+let serialize (state : Game.State.t) =
+  let buf = Buffer.create 64 in
+  List.iteri
+    (fun i (v, w) ->
+      if i > 0 then Buffer.add_char buf ';';
+      Buffer.add_string buf (string_of_int v);
+      Buffer.add_char buf '-';
+      Buffer.add_string buf (string_of_int w))
+    (* Dense.edges is already in ascending lexicographic order. *)
+    (Rgraph.Digraph.Dense.edges state.graph);
+  Buffer.add_char buf '|';
+  List.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf (string_of_int v))
+    state.starred;
+  Buffer.contents buf
 
 let default_vector ~messages ~pairs v =
   List.filter_map (fun (x, w) -> if x = v then Some (w, messages (x, w)) else None) pairs
@@ -62,155 +101,153 @@ let run ?(ame_params = Params.default) ?channels_used ?(feedback_mode = Sequenti
   let diverged = ref false in
   let moves_counter = ref 0 in
   let final_digests = Array.make n "" in
-  (* The initial game state is immutable and identical for every node;
-     build it once instead of n times (its universe set is the costly
-     part). *)
-  let initial_state =
-    Game.State.create_dense ~proposal_size:channels_used ~min_proposal:(budget + 1) graph
-      ~t:budget
-  in
   (* One claimed-node workspace for every schedule build of this run: all
      node fibers interleave on the engine's domain and a build never spans
      a suspension, so the builds cannot overlap. *)
   let sched_scratch = Schedule.make_scratch () in
-  let node_body (ctx : Radio.Engine.ctx) =
-    let id = ctx.id in
-    let state = ref initial_state in
-    let surrogate_map : (int, int array) Hashtbl.t = Hashtbl.create 16 in
-    let known : (int, (int * string) list) Hashtbl.t = Hashtbl.create 16 in
-    Hashtbl.replace known id (vector_for id);
-    let surrogates v = Option.value (Hashtbl.find_opt surrogate_map v) ~default:[||] in
-    let rec play () =
-      match Game.Greedy.proposal !state with
-      | None -> ()
+  (* The referee's next move from [state]: the greedy proposal and its
+     schedule.  Tree feedback only fits full power-of-two proposals; a
+     smaller tail proposal (still > t items) falls back to the sequential
+     routine for that move. *)
+  let referee state surrogates =
+    let move =
+      match Game.Greedy.proposal state with
+      | None -> Game_over
       | Some proposal ->
-        (* Tree feedback only fits full power-of-two proposals; a smaller
-           tail proposal (still > t items) falls back to the sequential
-           routine for that move.  The choice is a deterministic function of
-           the proposal, so all nodes agree on it. *)
-        let tree_this_move =
-          feedback_mode = Tree && List.length proposal = channels_used
-        in
+        let tree_this_move = feedback_mode = Tree && List.length proposal = channels_used in
         let witness_size = if tree_this_move then budget + 1 else channels in
+        let surrogates v =
+          match Int_map.find_opt v surrogates with Some ws -> ws | None -> [||]
+        in
         (match
            Schedule.build ~scratch:sched_scratch ~proposal ~surrogates ~n ~witness_size
              ~watchers_per_channel ()
          with
-         | exception Schedule.Divergence _ -> diverged := true
+         | exception Schedule.Divergence _ -> Unschedulable
          | sched ->
-           let msg_round = Radio.Engine.current_round () in
-           Oracle.post board ~round:msg_round (Schedule.oracle_entry sched);
-           (* Query the role once, right after the build: the inverted index
-              is still generation-current here (no suspension since the
-              build), so this is the O(1) path; the role is reused below in
-              the successes pass, where interleaved builds by other fibers
-              have already retired the index. *)
-           let my_role = Schedule.role_of sched id in
-           (* Message-transmission phase: one round. *)
-           let my_recv = ref None in
-           (match my_role with
-            | Schedule.Broadcast { channel; owner } ->
-              (match Hashtbl.find_opt known owner with
-               | Some entries ->
-                 (* A corrupted node acting as a surrogate forges the owner's
-                    vector: the receiver cannot tell (the channel is the
-                    scheduled one), which is the Byzantine attack of E13. *)
-                 let entries =
-                   if forges && owner <> id && List.mem id corrupted then
-                     List.map (fun (dst, _) -> (dst, Printf.sprintf "FORGED-by-%d" id)) entries
-                   else entries
-                 in
-                 Radio.Engine.transmit ~chan:channel (Radio.Frame.Vector { owner; entries })
-               | None ->
-                 (* Scheduled as surrogate without the vector: a divergence. *)
-                 diverged := true;
-                 Radio.Engine.idle ())
-            | Schedule.Receive { channel; _ } ->
-              my_recv := Radio.Engine.listen ~chan:channel
-            | Schedule.Watch { channel } -> my_recv := Radio.Engine.listen ~chan:channel
-            | Schedule.Off -> Radio.Engine.idle ());
-           (* Feedback phase.  A corrupted witness lies about its channel's
-              outcome — the second Byzantine attack of E13: unlike the
-              surrogate forgery, this one attacks agreement itself, since
-              honest witnesses of the same channel contradict the liar and
-              different listeners may believe different reporters. *)
-           let my_flag =
-             let real = Option.is_some !my_recv in
-             if lies && List.mem id corrupted then not real else real
-           in
-           let d =
-             if tree_this_move then
-               Tree_feedback.run ~my_id:id ~rng:ctx.rng ~channels ~budget ~reps:tree_reps
-                 ~witnesses:sched.Schedule.watchers ~witness_size ~my_flag
-             else
-               Feedback.run ~my_id:id ~rng:ctx.rng ~channels ~reps:sequential_reps
-                 ~witnesses:sched.Schedule.watchers ~witness_size ~my_flag
-           in
-           (* Referee simulation: items on successful channels are chosen. *)
-           let successes =
-             List.filter (fun c -> c < Array.length sched.Schedule.items) d
-           in
-           if successes = [] then
-             (* Impossible unless a whp event failed: at most t of the
-                channels_used > t channels can be disrupted. *)
-             diverged := true
-           else begin
-             (* One pass: record the bookkeeping for each successful channel
-                and collect the chosen items for the referee apply. *)
-             let chosen =
-               List.map
-                 (fun c ->
-                   let item = sched.Schedule.items.(c) in
-                   (match item with
-                    | Game.State.Node v ->
-                      (* The watcher array is immutable after the build, so
-                         the surrogate record shares it — no per-success
-                         copy. *)
-                      Hashtbl.replace surrogate_map v sched.Schedule.watchers.(c);
-                      (match (my_role, !my_recv) with
-                       | Schedule.Watch { channel }, Some (Radio.Frame.Vector { owner; entries })
-                         when channel = c && owner = v ->
-                         Hashtbl.replace known v entries
-                       | _ -> ())
-                    | Game.State.Edge (v, w) ->
-                      if id = w then begin
-                        match !my_recv with
-                        | Some (Radio.Frame.Vector { owner; entries }) when owner = v ->
-                          (match extract_entry entries ~dst:w with
-                           | Some body -> Hashtbl.replace delivered_cells (v, w) body
-                           | None -> ())
-                        | _ -> ()
-                      end;
-                      if id = v then Hashtbl.replace confirmed_cells (v, w) ());
-                   item)
-                 successes
-             in
-             state := Game.State.apply !state chosen
-           end;
-           if id = 0 then incr moves_counter;
-           if not !diverged then play ())
+           Scheduled { sched; entry = Schedule.oracle_entry sched; tree_this_move })
     in
-    play ();
-    let final = !state in
-    (* Canonical serialization, not [Hashtbl.hash]: the polymorphic hash is
-       no cross-host fingerprint, and divergence detection only needs
-       equality of the final states. *)
-    let buf = Buffer.create 64 in
-    List.iteri
-      (fun i (v, w) ->
-        if i > 0 then Buffer.add_char buf ';';
-        Buffer.add_string buf (string_of_int v);
-        Buffer.add_char buf '-';
-        Buffer.add_string buf (string_of_int w))
-      (* Dense.edges is already in ascending lexicographic order. *)
-      (Rgraph.Digraph.Dense.edges final.Game.State.graph);
-    Buffer.add_char buf '|';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int v))
-      final.Game.State.starred;
-    final_digests.(id) <- Buffer.contents buf
+    { state; surrogates; move; final = lazy (serialize state) }
+  in
+  (* The referee's answer to [successes]: items on successful channels are
+     chosen, and a chosen node's watchers become its surrogates.  The
+     watcher array is immutable after the build, so the surrogate record
+     shares it. *)
+  let next_referee sched successes r =
+    let surrogates =
+      List.fold_left
+        (fun surrogates c ->
+          match sched.Schedule.items.(c) with
+          | Game.State.Node v -> Int_map.add v sched.Schedule.watchers.(c) surrogates
+          | Game.State.Edge _ -> surrogates)
+        r.surrogates successes
+    in
+    let chosen = List.map (fun c -> sched.Schedule.items.(c)) successes in
+    referee (Game.State.apply r.state chosen) surrogates
+  in
+  (* The initial game state is identical for every node, and so is every
+     later one that the same feedback outcomes lead to: one move tree per
+     run holds them (see {!Move_tree}). *)
+  let tree =
+    Move_tree.create
+      (referee
+         (Game.State.create_dense ~proposal_size:channels_used ~min_proposal:(budget + 1) graph
+            ~t:budget)
+         Int_map.empty)
+  in
+  let node_body (ctx : Radio.Engine.ctx) =
+    let id = ctx.id in
+    let corrupt = List.mem id corrupted in
+    let known = ref (Int_map.singleton id (vector_for id)) in
+    let bufs = Feedback.buffers ~reps:sequential_reps in
+    let rec play at =
+      match (Move_tree.value at).move with
+      | Game_over -> at
+      | Unschedulable ->
+        diverged := true;
+        at
+      | Scheduled { sched; entry; tree_this_move } ->
+        Oracle.post board ~round:(Radio.Engine.current_round ()) entry;
+        (* The role is queried once per move and reused in the successes
+           pass; it is O(1) while the schedule's index is current, and the
+           scan fallback gives the same role after another build. *)
+        let my_role = Schedule.role_of sched id in
+        (* Message-transmission phase: one round. *)
+        let my_recv = ref None in
+        (match my_role with
+         | Schedule.Broadcast { channel; owner } ->
+           (match Int_map.find_opt owner !known with
+            | Some entries ->
+              (* A corrupted node acting as a surrogate forges the owner's
+                 vector: the receiver cannot tell (the channel is the
+                 scheduled one), which is the Byzantine attack of E13. *)
+              let entries =
+                if forges && owner <> id && corrupt then
+                  List.map (fun (dst, _) -> (dst, Printf.sprintf "FORGED-by-%d" id)) entries
+                else entries
+              in
+              Radio.Engine.transmit ~chan:channel (Radio.Frame.Vector { owner; entries })
+            | None ->
+              (* Scheduled as surrogate without the vector: a divergence. *)
+              diverged := true;
+              Radio.Engine.idle ())
+         | Schedule.Receive { channel; _ } -> my_recv := Radio.Engine.listen ~chan:channel
+         | Schedule.Watch { channel } -> my_recv := Radio.Engine.listen ~chan:channel
+         | Schedule.Off -> Radio.Engine.idle ());
+        (* Feedback phase.  A corrupted witness lies about its channel's
+           outcome — the second Byzantine attack of E13: unlike the
+           surrogate forgery, this one attacks agreement itself, since
+           honest witnesses of the same channel contradict the liar and
+           different listeners may believe different reporters. *)
+        let my_flag =
+          let real = Option.is_some !my_recv in
+          if lies && corrupt then not real else real
+        in
+        let witness_size = sched.Schedule.witness_size in
+        let d =
+          if tree_this_move then
+            Tree_feedback.run ~my_id:id ~rng:ctx.rng ~channels ~budget ~reps:tree_reps
+              ~witnesses:sched.Schedule.watchers ~witness_size ~my_flag
+          else
+            Feedback.run ~bufs ~my_id:id ~rng:ctx.rng ~channels ~reps:sequential_reps
+              ~witnesses:sched.Schedule.watchers ~witness_size ~my_flag
+        in
+        let successes = List.filter (fun c -> c < Array.length sched.Schedule.items) d in
+        let at =
+          match successes with
+          | [] ->
+            (* Impossible unless a whp event failed: at most t of the
+               channels_used > t channels can be disrupted. *)
+            diverged := true;
+            at
+          | _ ->
+            (* This node's own bookkeeping for each successful channel. *)
+            List.iter
+              (fun c ->
+                match sched.Schedule.items.(c) with
+                | Game.State.Node v ->
+                  (match (my_role, !my_recv) with
+                   | Schedule.Watch { channel }, Some (Radio.Frame.Vector { owner; entries })
+                     when channel = c && owner = v ->
+                     known := Int_map.add v entries !known
+                   | _ -> ())
+                | Game.State.Edge (v, w) ->
+                  if id = w then begin
+                    match !my_recv with
+                    | Some (Radio.Frame.Vector { owner; entries }) when owner = v ->
+                      (match extract_entry entries ~dst:w with
+                       | Some body -> Hashtbl.replace delivered_cells (v, w) body
+                       | None -> ())
+                    | _ -> ()
+                  end;
+                  if id = v then Hashtbl.replace confirmed_cells (v, w) ())
+              successes;
+            Move_tree.child tree at ~successes (next_referee sched successes)
+        in
+        if id = 0 then incr moves_counter;
+        if !diverged then at else play at
+    in
+    final_digests.(id) <- Lazy.force (Move_tree.value (play (Move_tree.root tree))).final
   in
   let engine = Radio.Engine.run_nodes cfg ~adversary:(adversary board) node_body in
   let digest0 = final_digests.(0) in
@@ -227,4 +264,4 @@ let run ?(ame_params = Params.default) ?channels_used ?(feedback_mode = Sequenti
     else None
   in
   { engine; delivered; confirmed; failed; disruption_vc; diverged = !diverged;
-    moves = !moves_counter }
+    moves = !moves_counter; referee_states = Move_tree.records tree }

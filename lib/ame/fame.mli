@@ -16,6 +16,25 @@
     All of these hold with high probability; the runner reports the
     low-probability desynchronization events explicitly ({!field-diverged}). *)
 
+(** {1 The shared referee}
+
+    Every node simulates the referee of the game: from its game state it
+    computes the greedy proposal, the schedule of the message round, and,
+    after feedback, the next game state and the surrogates of each starred
+    node.  All of that is a pure function of the sequence of feedback
+    outcomes (the successful channels) the node has decided, so {!run}
+    keeps one record per distinct outcome history in a {!Move_tree}: the
+    first node to decide an outcome computes the next record, and every
+    node that decides the same outcome moves to it.  Honest nodes therefore
+    share one chain of records and the referee's work is done once per
+    move, not once per node; a node whose outcome differs (a lying witness,
+    a whp feedback failure) computes its own branch, exactly the state it
+    computed on its own before.  The records perform no engine effects,
+    every node still posts its schedule to the {!Oracle} board and keeps its
+    own received vectors, deliveries and random stream, so the outcome of a
+    run is the same as with one referee replica per node.  The golden
+    digests in the test suite pin this. *)
+
 type outcome = {
   engine : Radio.Engine.result;
   delivered : ((int * int) * string) list;
@@ -32,6 +51,10 @@ type outcome = {
       (** true if any whp event failed and the nodes' game states
           desynchronized *)
   moves : int;  (** game moves simulated *)
+  referee_states : int;
+      (** referee states computed: records of the run's move tree (see
+          below).  [moves + 1] when every node decided every move alike;
+          each node whose feedback outcome differed adds its own branch. *)
 }
 
 type feedback_mode =

@@ -8,6 +8,10 @@ let rec rank_scan arr id i len acc =
   (* radio-lint: allow partial-array-unsafe — i < len <= length checked by the caller *)
   else rank_scan arr id (i + 1) len (if Array.unsafe_get arr i = id then i else acc)
 
+type buffers = { chans : int array; heard : Radio.Frame.t option array }
+
+let buffers ~reps = { chans = Array.make reps 0; heard = Array.make reps None }
+
 (* Per-phase listener step, shared by both accumulator shapes: draw all
    [reps] random hops first, then declare them as one engine listen-series.
    The rng draws are a pure per-node stream and the hop sequence never
@@ -16,12 +20,12 @@ let rec rank_scan arr id i len acc =
    separate [listen] calls — but the fiber suspends once per phase instead
    of once per round, which is what makes population-scale feedback cheap
    (every non-witness node listens in every feedback round). *)
-let listen_phase ~rng ~channels ~reps ~chans_buf ~out_buf =
+let listen_phase ~rng ~channels ~reps bufs =
   for j = 0 to reps - 1 do
-    (* radio-lint: allow partial-array-unsafe — j < reps = length chans_buf *)
-    Array.unsafe_set chans_buf j (Prng.Rng.int rng channels)
+    (* radio-lint: allow partial-array-unsafe — j < reps = length bufs.chans *)
+    Array.unsafe_set bufs.chans j (Prng.Rng.int rng channels)
   done;
-  Radio.Engine.listen_series ~chans:chans_buf ~into:out_buf
+  Radio.Engine.listen_series ~chans:bufs.chans ~into:bufs.heard
 
 let validate_witness_size ~channels ~witness_size =
   if witness_size <> channels then
@@ -31,11 +35,13 @@ let validate_group ~witness_size g =
   if Array.length g < witness_size then
     invalid_arg "Feedback.run: witness sets must have size >= C"
 
-let run_list ~my_id ~rng ~channels ~reps ~witnesses ~witness_size ~my_flag =
+let validate_buffers ~reps bufs =
+  if Array.length bufs.chans <> reps || Array.length bufs.heard <> reps then
+    invalid_arg "Feedback.run: listen buffers must have reps slots"
+
+let run_list ~bufs ~my_id ~rng ~channels ~reps ~witnesses ~witness_size ~my_flag =
   let k = Array.length witnesses in
   let d = ref [] in
-  let chans_buf = Array.make reps 0 in
-  let out_buf : Radio.Frame.t option array = Array.make reps None in
   for r = 0 to k - 1 do
     validate_group ~witness_size witnesses.(r);
     match rank_scan witnesses.(r) my_id 0 witness_size (-1) with
@@ -48,9 +54,9 @@ let run_list ~my_id ~rng ~channels ~reps ~witnesses ~witness_size ~my_flag =
       done
     | _ ->
       (* Listener: a random channel per round; collect <true, r>. *)
-      listen_phase ~rng ~channels ~reps ~chans_buf ~out_buf;
+      listen_phase ~rng ~channels ~reps bufs;
       for j = 0 to reps - 1 do
-        match out_buf.(j) with
+        match bufs.heard.(j) with
         | Some (Radio.Frame.Feedback_true r') when r' = r ->
           if not (List.mem r !d) then d := r :: !d
         | Some _ | None -> ()
@@ -58,17 +64,16 @@ let run_list ~my_id ~rng ~channels ~reps ~witnesses ~witness_size ~my_flag =
   done;
   List.sort Int.compare !d
 
-let run ~my_id ~rng ~channels ~reps ~witnesses ~witness_size ~my_flag =
+let run ~bufs ~my_id ~rng ~channels ~reps ~witnesses ~witness_size ~my_flag =
   validate_witness_size ~channels ~witness_size;
+  validate_buffers ~reps bufs;
   let k = Array.length witnesses in
-  if k > 62 then run_list ~my_id ~rng ~channels ~reps ~witnesses ~witness_size ~my_flag
+  if k > 62 then run_list ~bufs ~my_id ~rng ~channels ~reps ~witnesses ~witness_size ~my_flag
   else begin
     (* Hot path: accumulate the successful-channel set as a bitmask instead
        of a deduplicated list, then decode ascending (the same value the
        sorted unique list produced). *)
     let d = ref 0 in
-    let chans_buf = Array.make reps 0 in
-    let out_buf : Radio.Frame.t option array = Array.make reps None in
     for r = 0 to k - 1 do
       validate_group ~witness_size witnesses.(r);
       match rank_scan witnesses.(r) my_id 0 witness_size (-1) with
@@ -79,9 +84,9 @@ let run ~my_id ~rng ~channels ~reps ~witnesses ~witness_size ~my_flag =
           Radio.Engine.transmit ~chan:rank frame
         done
       | _ ->
-        listen_phase ~rng ~channels ~reps ~chans_buf ~out_buf;
+        listen_phase ~rng ~channels ~reps bufs;
         for j = 0 to reps - 1 do
-          match out_buf.(j) with
+          match bufs.heard.(j) with
           | Some (Radio.Frame.Feedback_true r') when r' = r -> d := !d lor (1 lsl r)
           | Some _ | None -> ()
         done

@@ -12,7 +12,17 @@
     This function is node-side code: it must be called inside an engine
     fiber, by all nodes in the same round, with identical [witnesses]. *)
 
+type buffers
+(** A node's listen buffers: the hop channels and what was heard, [reps]
+    slots each.  Allocate them once per node per run with {!buffers} and
+    pass them to every {!run} of that node: the engine reads them while the
+    fiber is suspended in its listen-series, so a node's buffers must not
+    be shared with another node. *)
+
+val buffers : reps:int -> buffers
+
 val run :
+  bufs:buffers ->
   my_id:int ->
   rng:Prng.Rng.t ->
   channels:int ->
@@ -21,7 +31,7 @@ val run :
   witness_size:int ->
   my_flag:bool ->
   int list
-(** [run ~my_id ~rng ~channels ~reps ~witnesses ~witness_size ~my_flag]
+(** [run ~bufs ~my_id ~rng ~channels ~reps ~witnesses ~witness_size ~my_flag]
     consumes exactly [Array.length witnesses * reps] rounds and returns the
     set D of channel indices believed to have succeeded, sorted.  The
     witness set W[r] is the first [witness_size] entries of
@@ -30,7 +40,9 @@ val run :
     [channels] (each witness set occupies every channel during its phase)
     and every [witnesses.(r)] must have at least that many entries.
     [my_flag] is consulted only if [my_id] appears in some witness prefix
-    (a node may witness at most one channel).
+    (a node may witness at most one channel).  [bufs] must have been made
+    with [buffers ~reps] for the same [reps] (else [Invalid_argument]); its
+    contents on entry are ignored.
 
     Listener rounds are declared through {!Radio.Engine.listen_series} —
     one suspension per feedback phase rather than one per round — which is

@@ -25,7 +25,7 @@ let agreement_trial ~beta ~t ~n ~seed =
       !flag
     in
     outputs.(id) <-
-      Ame.Feedback.run ~my_id:id ~rng:ctx.rng ~channels ~reps ~witnesses
+      Ame.Feedback.run ~bufs:(Ame.Feedback.buffers ~reps) ~my_id:id ~rng:ctx.rng ~channels ~reps ~witnesses
         ~witness_size:channels ~my_flag
   in
   let adversary =

@@ -30,9 +30,21 @@ let rec draw_fast engine bound p31 limit_lo =
   if hi <> 0xFFFFFFFF || lo31 < limit_lo then ((hi mod bound) * p31 + lo31) mod bound
   else draw_fast engine bound p31 limit_lo
 
+(* Power-of-two bounds: R mod bound = bound - 1, so the rejection limit is
+   0x80000000 - bound, and since bound divides 2^31, v mod bound is just
+   the low bits of lo31.  Same stream, same values, no division. *)
+let rec draw_pow2 engine mask limit_lo =
+  Xoshiro.step engine;
+  let hi = Xoshiro.out_hi engine in
+  let lo31 = Xoshiro.out_lo engine lsr 1 in
+  if hi <> 0xFFFFFFFF || lo31 < limit_lo then lo31 land mask
+  else draw_pow2 engine mask limit_lo
+
 let int t bound =
   assert (bound > 0);
-  if bound <= 0x3FFFFFFF then begin
+  if bound land (bound - 1) = 0 && bound <= 0x40000000 then
+    draw_pow2 t.engine (bound - 1) (0x80000000 - bound)
+  else if bound <= 0x3FFFFFFF then begin
     (* R mod bound, with R = 2^63 - 1 = 2 * max_int + 1 (63-bit R itself
        does not fit a native int). *)
     let r63 = ((2 * (max_int mod bound)) + 1) mod bound in

@@ -296,6 +296,15 @@ let feedback_starved_fails_sometimes () =
   done;
   check Alcotest.bool "starving feedback causes disagreement" true (!failures > 0)
 
+let feedback_rejects_wrong_buffers () =
+  (* Checked before any round is consumed, so no engine is needed. *)
+  match
+    Feedback.run ~bufs:(Feedback.buffers ~reps:2) ~my_id:0 ~rng:(Prng.Rng.create 1L)
+      ~channels:2 ~reps:3 ~witnesses:[||] ~witness_size:2 ~my_flag:false
+  with
+  | _ -> Alcotest.fail "listen buffers of the wrong size accepted"
+  | exception Invalid_argument _ -> ()
+
 (* -- f-AME (Theorem 6) -- *)
 
 let fame_delivers_without_adversary () =
@@ -577,6 +586,205 @@ let fame_beats_triangle_adversary () =
   | Some vc -> check Alcotest.bool "surrogates beat triangles" true (vc <= t)
   | None -> Alcotest.fail "vc computable"
 
+(* -- golden digests --
+
+   Fixed runs whose full observable outcome is pinned to a digest: the
+   delivered/confirmed/failed sets, the move count, the divergence flag,
+   the engine stats and every schedule entry posted to the oracle board.
+   The digests were recorded before the referee state was shared between
+   nodes (one move tree per run instead of one replica per node), so they
+   pin that sharing to the per-node behaviour it replaced. *)
+
+let board_digest buf board ~rounds =
+  for round = 0 to rounds do
+    match Oracle.get board ~round with
+    | None -> ()
+    | Some { Oracle.channels_in_use; kinds } ->
+      Printf.bprintf buf "r%d:" round;
+      List.iter (Printf.bprintf buf "%d,") channels_in_use;
+      List.iter
+        (fun (c, kind) ->
+          match kind with
+          | Oracle.Node_item v -> Printf.bprintf buf "%d=N%d;" c v
+          | Oracle.Edge_item (v, w) -> Printf.bprintf buf "%d=E%d-%d;" c v w)
+        kinds
+  done
+
+let outcome_digest ~engine ~delivered ~confirmed ~failed ~moves ~diverged board =
+  let buf = Buffer.create 4096 in
+  List.iter (fun ((v, w), body) -> Printf.bprintf buf "d%d-%d=%s;" v w body) delivered;
+  List.iter (fun (v, w) -> Printf.bprintf buf "c%d-%d;" v w) confirmed;
+  List.iter (fun (v, w) -> Printf.bprintf buf "f%d-%d;" v w) failed;
+  Printf.bprintf buf "moves=%d;diverged=%b;" moves diverged;
+  let s = engine.Radio.Engine.stats in
+  Printf.bprintf buf "stats=%d,%d,%d,%d,%d,%d,%d,%d;completed=%b;rounds=%d;"
+    s.Radio.Transcript.Stats.rounds s.honest_transmissions s.deliveries s.spoofed_deliveries
+    s.collisions s.jammed_rounds s.strikes s.max_payload engine.Radio.Engine.completed
+    engine.Radio.Engine.rounds_used;
+  board_digest buf board ~rounds:engine.Radio.Engine.rounds_used;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Runs [go] with an adversary factory that also captures the board. *)
+let with_board adversary go =
+  let board = ref None in
+  let o =
+    go (fun b ->
+        board := Some b;
+        adversary b)
+  in
+  (o, Option.get !board)
+
+let fame_digest ?channels_used ?feedback_mode ?corrupted ?corruption ~cfg ~pairs adversary =
+  let o, board =
+    with_board adversary (fun adversary ->
+        Fame.run ?channels_used ?feedback_mode ?corrupted ?corruption ~cfg ~pairs ~messages
+          ~adversary ())
+  in
+  ( o,
+    outcome_digest ~engine:o.Fame.engine ~delivered:o.Fame.delivered
+      ~confirmed:o.Fame.confirmed ~failed:o.Fame.failed ~moves:o.Fame.moves
+      ~diverged:o.Fame.diverged board )
+
+let direct_digest ~cfg ~pairs adversary =
+  let o, board =
+    with_board adversary (fun adversary -> Direct.run ~cfg ~pairs ~messages ~adversary ())
+  in
+  outcome_digest ~engine:o.Direct.engine ~delivered:o.Direct.delivered ~confirmed:[]
+    ~failed:o.Direct.failed ~moves:o.Direct.moves ~diverged:o.Direct.diverged board
+
+let byzantine_cfg () =
+  Radio.Config.make ~n:30 ~channels:2 ~t:1 ~seed:11L
+    ~max_rounds:Radio.Config.default_max_rounds ()
+
+let byzantine_pairs =
+  List.concat_map (fun v -> List.map (fun w -> (v, w)) [ 20; 21; 22; 23 ]) [ 0; 1 ]
+
+let triangle_pairs t =
+  List.concat_map Workload.complete_on
+    (List.init t (fun i -> [ 3 * i; (3 * i) + 1; (3 * i) + 2 ]))
+
+let golden_fame_cases () =
+  let t = 2 in
+  let cfg = fame_cfg ~t ~seed:101L () in
+  let pairs = Workload.disjoint_pairs ~n:cfg.Radio.Config.n ~count:8 in
+  let tree_cfg =
+    Radio.Config.make ~n:55 ~channels:(2 * t * t) ~t ~seed:41L
+      ~max_rounds:Radio.Config.default_max_rounds ()
+  in
+  let wide = fame_cfg ~t ~seed:103L ~channels:(2 * t) () in
+  let pop_cfg = Radio.Config.make ~n:20_000 ~channels:2 ~t:1 ~seed:5L () in
+  [ ("null", fun () -> fame_digest ~cfg ~pairs null_adversary);
+    ( "random jammer",
+      fun () ->
+        fame_digest ~cfg ~pairs (fun _ ->
+            Radio.Adversary.random_jammer (Prng.Rng.create 7L) ~channels:(t + 1) ~budget:t) );
+    ( "spoof",
+      fun () ->
+        fame_digest ~cfg ~pairs (fun _ ->
+            Naive.simulating_adversary (Prng.Rng.create 21L) ~pairs ~channels:(t + 1)
+              ~budget:t) );
+    ( "schedule jammer, triangles",
+      fun () ->
+        fame_digest ~cfg ~pairs:(triangle_pairs t) (fun board ->
+            Attacks.schedule_jammer board ~channels:(t + 1) ~budget:t
+              ~prefer:Attacks.Prefer_edges) );
+    ( "tree feedback",
+      fun () ->
+        fame_digest ~channels_used:4 ~feedback_mode:Fame.Tree ~cfg:tree_cfg
+          ~pairs:(Workload.disjoint_pairs ~n:55 ~count:8) (fun board ->
+            Attacks.schedule_jammer board ~channels:(2 * t * t) ~budget:t
+              ~prefer:Attacks.Prefer_edges) );
+    ( "channels_used < C",
+      fun () ->
+        fame_digest ~channels_used:(t + 1) ~cfg:wide
+          ~pairs:(Workload.disjoint_pairs ~n:wide.Radio.Config.n ~count:8) (fun _ ->
+            Radio.Adversary.random_jammer (Prng.Rng.create 9L) ~channels:(2 * t) ~budget:t) );
+    ( "corrupted full",
+      fun () ->
+        fame_digest ~corrupted:[ 2; 3; 4; 5 ] ~corruption:Fame.Full ~cfg:(byzantine_cfg ())
+          ~pairs:byzantine_pairs null_adversary );
+    ( "corrupted forge",
+      fun () ->
+        fame_digest ~corrupted:[ 2; 3; 4; 5 ] ~corruption:Fame.Forge_as_surrogate
+          ~cfg:(byzantine_cfg ()) ~pairs:byzantine_pairs null_adversary );
+    ( "corrupted lie",
+      fun () ->
+        fame_digest ~corrupted:[ 2; 3; 4; 5 ] ~corruption:Fame.Lie_as_witness
+          ~cfg:(byzantine_cfg ()) ~pairs:byzantine_pairs null_adversary );
+    ( "corrupted lie, split witnesses",
+      fun () ->
+        (* One liar in each of two witness sets: honest witnesses and the
+           liar of a set disagree, so nodes decide different outcomes. *)
+        fame_digest ~corrupted:[ 3; 9 ] ~corruption:Fame.Lie_as_witness
+          ~cfg:(byzantine_cfg ()) ~pairs:byzantine_pairs null_adversary );
+    ( "n = 20000 null",
+      fun () ->
+        fame_digest ~cfg:pop_cfg ~pairs:(Workload.disjoint_pairs ~n:20_000 ~count:4)
+          null_adversary ) ]
+
+let golden_fame_expected =
+  [ ("null", "013db8ad2b5f2e0517c70bae4b725436");
+    ("random jammer", "eeb8b079a25ed32bb2f9e2e759ee1f14");
+    ("spoof", "4351258d4e02fd35d277958696add844");
+    ("schedule jammer, triangles", "b2ff9aa5bc54dcc0c29f692a611a5330");
+    ("tree feedback", "1f1d5a794b67b4c13863ae55b9f39893");
+    ("channels_used < C", "f4c0840a98e29bd047c38e2b7b640027");
+    ("corrupted full", "c4df37b5dcab616486634ad45be3cced");
+    ("corrupted forge", "6c80105ba1550b8d877ab4db96b0ecbb");
+    ("corrupted lie", "c4df37b5dcab616486634ad45be3cced");
+    ("corrupted lie, split witnesses", "2db8e0b5445ef8aabb9839d9860adc91");
+    ("n = 20000 null", "c309d0c54bdc26aa2c1b1f1add92a90f") ]
+
+let golden_direct_cases () =
+  let t = 2 in
+  let cfg = fame_cfg ~t ~seed:50L () in
+  let triple_of v = if v < 3 * t then Some (v / 3) else None in
+  [ ( "direct null",
+      fun () ->
+        direct_digest ~cfg ~pairs:(Workload.disjoint_pairs ~n:cfg.Radio.Config.n ~count:8)
+          null_adversary );
+    ( "direct triangle jammer",
+      fun () ->
+        direct_digest ~cfg ~pairs:(triangle_pairs t) (fun board ->
+            Attacks.triangle_jammer board ~channels:(t + 1) ~budget:t ~triple_of) );
+    ( "direct byzantine workload",
+      fun () -> direct_digest ~cfg:(byzantine_cfg ()) ~pairs:byzantine_pairs null_adversary ) ]
+
+let golden_direct_expected =
+  [ ("direct null", "18068cc2362289428c7d6e814665dfd3");
+    ("direct triangle jammer", "1a58d89034a5855d74e568bc116db156");
+    ("direct byzantine workload", "9d876cb1483c55b9ae5a6c85234f23d5") ]
+
+(* Honest runs share one referee record per move (the root plus one per
+   move); a node that decides a different feedback outcome branches off. *)
+let honest_cases =
+  [ "null"; "random jammer"; "spoof"; "schedule jammer, triangles"; "tree feedback";
+    "channels_used < C"; "n = 20000 null" ]
+
+let check_referee_states name o =
+  if List.mem name honest_cases then begin
+    check Alcotest.bool (name ^ ": honest") false o.Fame.diverged;
+    check Alcotest.int (name ^ ": moves + 1") (o.Fame.moves + 1) o.Fame.referee_states
+  end
+  else if String.equal name "corrupted lie, split witnesses" then
+    check Alcotest.bool "liars branch the referee" true
+      (o.Fame.referee_states > o.Fame.moves + 1)
+
+let golden_tests () =
+  List.map
+    (fun (name, run) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let o, digest = run () in
+          check Alcotest.string name (List.assoc name golden_fame_expected) digest;
+          check_referee_states name o))
+    (golden_fame_cases ())
+  @ List.map
+      (fun (name, run) ->
+        Alcotest.test_case name `Quick (fun () ->
+            let digest = run () in
+            check Alcotest.string name (List.assoc name golden_direct_expected) digest))
+      (golden_direct_cases ())
+
 (* -- naive protocol (Theorem 2) -- *)
 
 let naive_genuine_without_adversary () =
@@ -729,7 +937,8 @@ let () =
       ( "feedback",
         [ Alcotest.test_case "agreement across seeds" `Quick feedback_agreement_across_seeds;
           Alcotest.test_case "round cost" `Quick feedback_round_cost;
-          Alcotest.test_case "starved feedback fails" `Quick feedback_starved_fails_sometimes ] );
+          Alcotest.test_case "starved feedback fails" `Quick feedback_starved_fails_sometimes;
+          Alcotest.test_case "buffer size checked" `Quick feedback_rejects_wrong_buffers ] );
       ( "fame",
         [ Alcotest.test_case "clean delivery" `Quick fame_delivers_without_adversary;
           Alcotest.test_case "t-disruptability" `Slow fame_t_disruptable_under_jamming;
@@ -741,6 +950,7 @@ let () =
           Alcotest.test_case "tree mode end-to-end" `Slow fame_tree_mode_works;
           Alcotest.test_case "tree mode validation" `Quick fame_tree_mode_validation;
           QCheck_alcotest.to_alcotest fame_invariants_on_random_workloads ] );
+      ("golden", golden_tests ());
       ( "tree-feedback",
         [ Alcotest.test_case "pair index bijective" `Quick tree_pair_index_bijective;
           Alcotest.test_case "round formula" `Quick tree_rounds_formula ] );

@@ -218,8 +218,9 @@ let rng_int_matches_reference () =
         if got <> expect then
           Alcotest.failf "bound %d: draw %d gives %d, reference %d" bound i got expect
       done)
-    (* Fast-path bounds (<= 2^30 - 1), the boundary, and fallback bounds. *)
-    [ 1; 2; 6; 256; 65537; 0x3FFFFFFF; 0x40000000; 0x7FFFFFFFF ]
+    (* Power-of-two bounds (<= 2^30, the division-free path), the other
+       fast-path bounds (<= 2^30 - 1), the boundary, and fallback bounds. *)
+    [ 1; 2; 4; 16; 256; 1 lsl 20; 1 lsl 29; 6; 65537; 0x3FFFFFFF; 0x40000000; 0x7FFFFFFFF ]
 
 let rng_int_bounds =
   QCheck.Test.make ~name:"rng int stays in range" ~count:1000
